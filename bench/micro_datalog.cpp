@@ -481,6 +481,30 @@ void BM_SkolemIntern(benchmark::State& state) {
 }
 BENCHMARK(BM_SkolemIntern);
 
+// Tuple-id minting as the translated rules do it: f1(ID1, ID2, vars...)
+// with 4-8 arguments, two of them nested Skolem ids (the body atoms'
+// tuple ids), mostly misses (every 8th term repeats an earlier one).
+void BM_SkolemIntern_TupleIds(benchmark::State& state) {
+  datalog::SkolemStore skolems;
+  uint32_t leaf = skolems.InternFunction("f0");
+  uint32_t fn = skolems.InternFunction("f1");
+  std::vector<datalog::Value> ids;
+  for (uint64_t i = 0; i < 4096; ++i) ids.push_back(skolems.Intern(leaf, {i}));
+  datalog::Value args[8];
+  uint64_t i = 0;
+  for (auto _ : state) {
+    const uint64_t k = (i % 8 == 7) ? i / 2 : i;  // 1 in 8 is a hit
+    const size_t n = 4 + k % 5;
+    args[0] = ids[k % ids.size()];
+    args[1] = ids[(k / ids.size() + k * 31) % ids.size()];
+    for (size_t a = 2; a < n; ++a) args[a] = (k * (a + 1)) % 50021;
+    benchmark::DoNotOptimize(skolems.Intern(fn, args, n));
+    ++i;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SkolemIntern_TupleIds);
+
 // --- Repeated-query cache benchmarks ---------------------------------------
 // The serving scenario of the query-shape cache (ISSUE 3): the same
 // recursive-path query over a loaded engine, cold (caches disabled: full

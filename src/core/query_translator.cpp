@@ -9,6 +9,7 @@ namespace sparqlog::core {
 using datalog::Program;
 using datalog::RuleBuilder;
 using datalog::RuleTerm;
+using datalog::SkolemStore;
 using datalog::Value;
 using datalog::ValueFromTerm;
 using sparql::Path;
@@ -22,6 +23,10 @@ namespace {
 
 std::string AnsName(uint64_t i) { return "ans" + std::to_string(i); }
 std::string VName(const std::string& v) { return "V_" + v; }
+
+Status SkolemExhausted() {
+  return Status::ResourceExhausted("Skolem tuple-id space exhausted");
+}
 
 std::vector<std::string> SharedVars(const std::vector<std::string>& a,
                                     const std::vector<std::string>& b) {
@@ -180,8 +185,9 @@ Status QueryTranslator::TransValues(const Pattern& p, bool dst, const Ctx& g,
     const auto& row = p.values_rows[ri];
     // Row TID: a Skolem constant over the row index (rows are duplicates-
     // preserving per the VALUES semantics).
-    Value tid = skolems_->Intern(
-        fn, {ValueFromTerm(static_cast<rdf::TermId>(ri))});
+    const Value row_index = ValueFromTerm(static_cast<rdf::TermId>(ri));
+    Value tid = skolems_->Intern(fn, &row_index, 1);
+    if (tid == SkolemStore::kExhausted) return SkolemExhausted();
     if (!g.is_var) {
       datalog::Fact fact;
       std::vector<Value> tuple;
@@ -1080,7 +1086,9 @@ Result<Program> QueryTranslator::Translate(const Query& query) {
   program_ = Program();
   needs_comp_ = false;
   edb_ = InternEdbPredicates(&program_.predicates);
-  empty_skolem_ = skolems_->Intern(skolems_->InternFunction("[]"), {});
+  empty_skolem_ =
+      skolems_->Intern(skolems_->InternFunction("[]"), nullptr, 0);
+  if (empty_skolem_ == SkolemStore::kExhausted) return SkolemExhausted();
   triple_pred_ = ontology_ ? "itriple" : "triple";
   so_pred_ = ontology_ ? "isubjectOrObject" : "subjectOrObject";
 

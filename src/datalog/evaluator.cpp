@@ -15,6 +15,7 @@ namespace sparqlog::datalog {
 namespace {
 
 SPARQLOG_FAILPOINT_DEFINE(g_fp_stratum_begin, "datalog.stratum.begin");
+SPARQLOG_FAILPOINT_DEFINE(g_fp_skolem_intern, "datalog.skolem.intern");
 
 constexpr uint32_t kNoDelta = 0xffffffffu;
 
@@ -78,8 +79,10 @@ struct Evaluator::RuleRun {
   std::vector<bool> builtin_done;
   std::vector<uint32_t> order;
   std::vector<VarId> trail;
+  std::vector<uint32_t> done_trail;  // builtins completed, stacked by depth
   std::vector<std::vector<uint32_t>> scratch_cols;
   std::vector<std::vector<Value>> scratch_keys;
+  std::vector<Value> skolem_scratch;
   std::vector<Value> head_scratch;
   std::vector<Value> neg_scratch;
   Status status;
@@ -167,8 +170,9 @@ struct Evaluator::RuleRun {
   }
 
   /// Runs every builtin whose inputs are available; returns false when a
-  /// check fails (binding rejected). Bound variables and completed flags
-  /// are recorded so the caller can restore them.
+  /// check fails (binding rejected) or on fatal error (status set).
+  /// Bound variables and completed flags are recorded so the caller can
+  /// restore them.
   bool RunBuiltins(std::vector<VarId>* bound_trail,
                    std::vector<uint32_t>* done_trail) {
     bool changed = true;
@@ -208,8 +212,7 @@ struct Evaluator::RuleRun {
             break;
           }
           case BuiltinKind::kSkolem: {
-            std::vector<Value> args;
-            args.reserve(b.skolem_args.size());
+            skolem_scratch.clear();
             bool ready = true;
             for (const RuleTerm& t : b.skolem_args) {
               Value v = 0;
@@ -217,10 +220,18 @@ struct Evaluator::RuleRun {
                 ready = false;
                 break;
               }
-              args.push_back(v);
+              skolem_scratch.push_back(v);
             }
             if (!ready) continue;
-            Value sk = eval->skolems_->Intern(b.skolem_fn, std::move(args));
+            status = g_fp_skolem_intern.Check();
+            if (!status.ok()) return false;
+            Value sk = eval->skolems_->Intern(
+                b.skolem_fn, skolem_scratch.data(), skolem_scratch.size());
+            if (sk == SkolemStore::kExhausted) {
+              status = Status::ResourceExhausted(
+                  "Skolem tuple-id space exhausted");
+              return false;
+            }
             Value target;
             if (ResolveTerm(b.target, &target)) {
               if (target != sk) return false;
@@ -390,9 +401,9 @@ struct Evaluator::RuleRun {
     if (!status.ok()) return false;
 
     size_t btrail_start = trail.size();
-    std::vector<uint32_t> done_trail;
+    size_t done_start = done_trail.size();
     bool accepted = RunBuiltins(&trail, &done_trail);
-    bool result = true;
+    bool result = status.ok();  // false: a builtin failed fatally
     if (accepted) {
       if (depth == order.size()) {
         if (CheckNegatives()) result = EmitHead();
@@ -400,7 +411,10 @@ struct Evaluator::RuleRun {
         result = MatchAtom(depth);
       }
     }
-    for (uint32_t bi : done_trail) builtin_done[bi] = false;
+    while (done_trail.size() > done_start) {
+      builtin_done[done_trail.back()] = false;
+      done_trail.pop_back();
+    }
     Unbind(&trail, btrail_start);
     return result;
   }
@@ -502,6 +516,7 @@ struct Evaluator::RuleRun {
     bound.assign(rule->var_names.size(), false);
     builtin_done.assign(rule->builtins.size(), false);
     trail.clear();
+    done_trail.clear();
     status = Status::OK();
     if (head_binding != nullptr) {
       // DRed re-derivation: constrain the whole join to one head tuple by

@@ -1,6 +1,29 @@
 #include "datalog/value.h"
 
+#include <algorithm>
+#include <bit>
+
+#include "util/hash.h"
+
 namespace sparqlog::datalog {
+
+namespace {
+
+constexpr size_t kInitialSlots = 16;
+constexpr size_t kChunkValues = size_t{1} << 16;  // 512 KiB
+
+/// Hash of fn(args[0..n)): a multiply-rotate fold finished with Fmix64,
+/// so both the stripe bits (low) and the tag (high) are well mixed.
+uint64_t HashTerm(uint64_t header, const Value* args, size_t n) {
+  constexpr uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+  uint64_t h = header * kMul;
+  for (size_t i = 0; i < n; ++i) h = (std::rotl(h, 26) ^ args[i]) * kMul;
+  return Fmix64(h);
+}
+
+Value ValueOfId(uint32_t id) { return (static_cast<uint64_t>(id) + 1) << 32; }
+
+}  // namespace
 
 uint32_t SkolemStore::InternFunction(const std::string& name) {
   auto lock = LockCounted(alloc_mu_, contention_);
@@ -13,30 +36,74 @@ uint32_t SkolemStore::InternFunction(const std::string& name) {
   return id;
 }
 
-Value SkolemStore::Intern(uint32_t fn, std::vector<Value> args) {
-  SkolemTerm term{fn, std::move(args)};
-  Stripe& stripe = stripes_[SkolemTermHash()(term) % kStripes];
+Value SkolemStore::Intern(uint32_t fn, const Value* args, size_t n) {
+  const uint64_t header = static_cast<uint64_t>(fn) << 32 | n;
+  const uint64_t h = HashTerm(header, args, n);
+  const uint64_t tag = h >> 32;
+  Stripe& stripe = stripes_[h % kStripes];
   auto stripe_lock = LockCounted(stripe.mu, contention_);
-  auto it = stripe.index.find(term);
-  if (it != stripe.index.end()) {
-    return (static_cast<uint64_t>(it->second) + 1) << 32;
+  if (stripe.slots.empty()) Grow(stripe);
+  const size_t mask = stripe.slots.size() - 1;
+  size_t pos = tag & mask;
+  for (uint64_t slot; (slot = stripe.slots[pos]) != 0; pos = (pos + 1) & mask) {
+    if ((slot >> 32) != tag) continue;
+    const uint32_t id = static_cast<uint32_t>(slot) - 1;
+    const Value* term = terms_[id];
+    if (term[0] == header && std::equal(args, args + n, term + 1)) {
+      return ValueOfId(id);
+    }
   }
   uint32_t id;
   {
-    // Slot write completes before the id escapes via the stripe mutex or
-    // the round barrier, so the lock-free get() reads a completed term.
+    // The term is fully written before its id escapes via the stripe
+    // mutex or the round barrier, so the lock-free get() reads it whole.
     auto alloc_lock = LockCounted(alloc_mu_, contention_);
     id = num_terms_.load(std::memory_order_relaxed);
-    *terms_.Slot(id) = term;
+    if (id >= max_terms_) return kExhausted;
+    *terms_.Slot(id) = AppendTerm(header, args, n);
     num_terms_.store(id + 1, std::memory_order_release);
   }
-  stripe.index.emplace(std::move(term), id);
-  return (static_cast<uint64_t>(id) + 1) << 32;
+  stripe.slots[pos] = tag << 32 | (static_cast<uint64_t>(id) + 1);
+  if (++stripe.used * 2 > stripe.slots.size()) Grow(stripe);
+  return ValueOfId(id);
+}
+
+Value* SkolemStore::AppendTerm(uint64_t header, const Value* args, size_t n) {
+  const size_t need = n + 1;
+  if (static_cast<size_t>(chunk_end_ - cursor_) < need) {
+    // Terms never straddle chunks; the tail of the old chunk is waste.
+    const size_t values = std::max(kChunkValues, need);
+    chunks_.push_back(std::make_unique_for_overwrite<Value[]>(values));
+    cursor_ = chunks_.back().get();
+    chunk_end_ = cursor_ + values;
+    bytes_.fetch_add(values * sizeof(Value), std::memory_order_relaxed);
+  }
+  Value* term = cursor_;
+  cursor_ += need;
+  term[0] = header;
+  std::copy(args, args + n, term + 1);
+  return term;
+}
+
+void SkolemStore::Grow(Stripe& stripe) {
+  const size_t old_size = stripe.slots.size();
+  const size_t size = old_size == 0 ? kInitialSlots : 2 * old_size;
+  std::vector<uint64_t> slots(size, 0);
+  const size_t mask = size - 1;
+  for (uint64_t slot : stripe.slots) {
+    if (slot == 0) continue;
+    size_t pos = (slot >> 32) & mask;
+    while (slots[pos] != 0) pos = (pos + 1) & mask;
+    slots[pos] = slot;
+  }
+  stripe.slots = std::move(slots);
+  bytes_.fetch_add((size - old_size) * sizeof(uint64_t),
+                   std::memory_order_relaxed);
 }
 
 std::string SkolemStore::Render(Value v,
                                 const rdf::TermDictionary& dict) const {
-  const SkolemTerm& t = get(v);
+  const SkolemTerm t = get(v);
   std::string out = "[\"" + FunctionName(t.fn) + "\"";
   for (Value a : t.args) {
     out += ", ";

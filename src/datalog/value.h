@@ -3,14 +3,16 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
+#include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "rdf/dictionary.h"
 #include "util/bucket_array.h"
-#include "util/hash.h"
 
 /// \file value.h
 /// Datalog values. A Value is either an interned RDF term (low 32 bits,
@@ -35,38 +37,47 @@ inline rdf::TermId TermFromValue(Value v) {
 /// The distinguished SPARQL-null value: the undef term.
 inline constexpr Value kNullValue = rdf::TermDictionary::kUndef;
 
-/// A structured Skolem term: function symbol + argument values.
+/// A Skolem term viewed in place: function symbol + argument values.
+/// `args` points into the store's arena and stays valid for the
+/// store's lifetime.
 struct SkolemTerm {
   uint32_t fn = 0;
-  std::vector<Value> args;
-
-  bool operator==(const SkolemTerm& o) const {
-    return fn == o.fn && args == o.args;
-  }
-};
-
-struct SkolemTermHash {
-  size_t operator()(const SkolemTerm& t) const {
-    size_t seed = std::hash<uint32_t>()(t.fn);
-    for (Value v : t.args) HashCombine(seed, std::hash<Value>()(v));
-    return seed;
-  }
+  std::span<const Value> args;
 };
 
 /// Thread-safe interner for Skolem terms. Owned by the evaluation
 /// session; TermIds in Skolem arguments refer to the session's
 /// TermDictionary.
 ///
+/// Layout: every term is stored once, as `[fn << 32 | arity, args...]`
+/// in an append-only arena of chunks that never move; an id -> term
+/// pointer table (a BucketArray) makes `get` lock-free and leaves the id
+/// space unbounded by arena size; and the reverse index is 16 striped
+/// open-addressing tables of `hash tag << 32 | id + 1` slots (0 = empty)
+/// whose probe position is the tag itself, so a rehash never revisits
+/// the arena. A probe compares the 32-bit tag first and the arena words
+/// only on a tag match; neither hits nor misses allocate per term.
+///
 /// Same concurrency contract as rdf::TermDictionary: `get` /
-/// `FunctionName` are lock-free over BucketArray slots that never move,
-/// `Intern` stripes its reverse index by term hash and serializes id
-/// allocation on one mutex, and id numbering (not term identity) is the
-/// only thing that can vary across runs when multiple workers intern.
-/// This is what lets existential (Skolem-building) rules run on the
-/// sharded parallel fixpoint path instead of falling back to serial.
+/// `FunctionName` are lock-free over slots that never move, `Intern`
+/// stripes its reverse index by term hash and serializes id allocation
+/// (and arena appends) on one mutex, and a term is fully written before
+/// its id escapes. Id numbering (not term identity) is the only thing
+/// that can vary across runs when multiple workers intern. This is what
+/// lets existential (Skolem-building) rules run on the sharded parallel
+/// fixpoint path instead of falling back to serial.
 class SkolemStore {
  public:
-  SkolemStore() = default;
+  /// Ids 0 .. 2^32-2: id + 1 must fit the Value's upper 32 bits.
+  static constexpr uint32_t kMaxTerms = 0xffffffffu;
+  /// Returned by Intern once the id space is exhausted. Never a valid
+  /// Value: Skolem values have zero low bits, term values zero high bits.
+  static constexpr Value kExhausted = ~0ULL;
+
+  /// `max_terms` (at most kMaxTerms) caps the id space; tests lower it
+  /// to reach exhaustion without minting 2^32 terms.
+  explicit SkolemStore(uint32_t max_terms = kMaxTerms)
+      : max_terms_(max_terms) {}
   SkolemStore(const SkolemStore&) = delete;
   SkolemStore& operator=(const SkolemStore&) = delete;
 
@@ -76,14 +87,29 @@ class SkolemStore {
 
   const std::string& FunctionName(uint32_t fn) const { return fn_names_[fn]; }
 
-  /// Interns a Skolem term, returning its Value (tagged handle).
-  Value Intern(uint32_t fn, std::vector<Value> args);
+  /// Interns the Skolem term `fn(args[0..n))`, returning its Value
+  /// (tagged handle), or kExhausted when a new term would need an id
+  /// past the cap. `args` is only read during the call.
+  Value Intern(uint32_t fn, const Value* args, size_t n);
+  Value Intern(uint32_t fn, std::initializer_list<Value> args) {
+    return Intern(fn, args.begin(), args.size());
+  }
 
-  const SkolemTerm& get(Value v) const {
-    return terms_[static_cast<uint32_t>((v >> 32) - 1)];
+  SkolemTerm get(Value v) const {
+    const Value* p = terms_[static_cast<uint32_t>((v >> 32) - 1)];
+    return {static_cast<uint32_t>(p[0] >> 32),
+            {p + 1, static_cast<uint32_t>(p[0])}};
   }
 
   size_t size() const { return num_terms_.load(std::memory_order_acquire); }
+
+  /// Bytes held by the arena, the id table and the stripe tables.
+  uint64_t resident_bytes() const {
+    return bytes_.load(std::memory_order_relaxed) +
+           BucketArray<const Value*>::AllocatedSlots(
+               static_cast<uint32_t>(size())) *
+               sizeof(const Value*);
+  }
 
   /// Failed lock acquisitions since construction (see
   /// TermDictionary::intern_contention).
@@ -99,14 +125,26 @@ class SkolemStore {
 
   struct Stripe {
     std::mutex mu;
-    std::unordered_map<SkolemTerm, uint32_t, SkolemTermHash> index;
+    std::vector<uint64_t> slots;  // tag << 32 | id + 1; 0 = empty
+    size_t used = 0;
   };
 
+  /// Appends `[header, args...]` to the arena. Under alloc_mu_.
+  Value* AppendTerm(uint64_t header, const Value* args, size_t n);
+  /// Doubles a stripe's table, re-placing slots by their tags. Under the
+  /// stripe's mutex.
+  void Grow(Stripe& stripe);
+
+  const uint32_t max_terms_;
   BucketArray<std::string, 6> fn_names_;
   std::atomic<uint32_t> num_fns_{0};
   std::unordered_map<std::string, uint32_t> fn_index_;  // under alloc_mu_
-  BucketArray<SkolemTerm> terms_;
+  BucketArray<const Value*> terms_;  // id -> term in the arena
   std::atomic<uint32_t> num_terms_{0};
+  std::vector<std::unique_ptr<Value[]>> chunks_;  // under alloc_mu_
+  Value* cursor_ = nullptr;                       // under alloc_mu_
+  Value* chunk_end_ = nullptr;                    // under alloc_mu_
+  std::atomic<uint64_t> bytes_{0};  // arena chunks + stripe tables
   mutable std::array<Stripe, kStripes> stripes_;
   std::mutex alloc_mu_;
   mutable std::atomic<uint64_t> contention_{0};

@@ -626,6 +626,8 @@ HttpResponse HttpServer::StatsResponse() const {
   w.Key("storage").BeginObject();
   w.Key("tuples").Number(storage.tuples);
   w.Key("bytes").Number(storage.bytes);
+  w.Key("skolem_terms").Number(uint64_t{engine_->skolems()->size()});
+  w.Key("skolem_bytes").Number(engine_->skolems()->resident_bytes());
   w.EndObject();
   w.EndObject();
   return {200, "application/json", w.Take()};

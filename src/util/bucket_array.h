@@ -64,6 +64,13 @@ class BucketArray {
     return buckets_[b].load(std::memory_order_acquire)[i - StartOf(b)];
   }
 
+  /// Slots held by the buckets that cover indices [0, n) — the array's
+  /// footprint once `n` slots have been written.
+  static size_t AllocatedSlots(uint32_t n) {
+    if (n == 0) return 0;
+    return ((size_t{2} << BucketOf(n - 1)) - 1) << kBaseBits;
+  }
+
   /// Writer access to slot `i`, allocating its bucket on first touch.
   /// Must run under the owner's allocation mutex.
   T* Slot(uint32_t i) {

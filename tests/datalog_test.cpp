@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "datalog/ast.h"
@@ -52,6 +55,129 @@ TEST(SkolemStoreTest, NestedSkolemArguments) {
   Value outer2 = skolems.Intern(f, {inner, 2});
   EXPECT_EQ(outer1, outer2);
   EXPECT_NE(outer1, inner);
+}
+
+TEST(SkolemStoreTest, ZeroArgumentTerm) {
+  SkolemStore skolems;
+  uint32_t empty = skolems.InternFunction("[]");
+  Value a = skolems.Intern(empty, nullptr, 0);
+  EXPECT_TRUE(IsSkolemValue(a));
+  EXPECT_EQ(skolems.Intern(empty, {}), a);
+  // Same function, one argument: a different term.
+  EXPECT_NE(skolems.Intern(empty, {0}), a);
+  SkolemTerm t = skolems.get(a);
+  EXPECT_EQ(t.fn, empty);
+  EXPECT_TRUE(t.args.empty());
+  rdf::TermDictionary dict;
+  EXPECT_EQ(skolems.Render(a, dict), "[\"[]\"]");
+}
+
+TEST(SkolemStoreTest, GetAndRenderRoundTrip) {
+  SkolemStore skolems;
+  rdf::TermDictionary dict;
+  rdf::TermId iri = dict.InternIri("http://ex.org/a");
+  uint32_t f = skolems.InternFunction("f1");
+  uint32_t g = skolems.InternFunction("g");
+  Value inner = skolems.Intern(g, {ValueFromTerm(iri)});
+  const Value args[] = {ValueFromTerm(iri), inner, 7, inner};
+  Value outer = skolems.Intern(f, args, 4);
+  SkolemTerm t = skolems.get(outer);
+  EXPECT_EQ(t.fn, f);
+  ASSERT_EQ(t.args.size(), 4u);
+  EXPECT_TRUE(std::equal(t.args.begin(), t.args.end(), args));
+  // Re-interning the term read back yields the same handle.
+  EXPECT_EQ(skolems.Intern(t.fn, t.args.data(), t.args.size()), outer);
+  std::string inner_text = "[\"g\", " + dict.Render(iri) + "]";
+  EXPECT_EQ(skolems.Render(inner, dict), inner_text);
+  EXPECT_EQ(skolems.Render(outer, dict),
+            "[\"f1\", " + dict.Render(iri) + ", " + inner_text + ", " +
+                dict.Render(7) + ", " + inner_text + "]");
+}
+
+TEST(SkolemStoreTest, GrowsThroughRehashes) {
+  SkolemStore skolems;
+  uint32_t f = skolems.InternFunction("f");
+  constexpr uint64_t kTerms = 200000;  // thousands of slots per stripe
+  std::vector<Value> handles;
+  for (uint64_t i = 0; i < kTerms; ++i) {
+    // Mixed arities, so arena chunk boundaries fall mid-sequence.
+    const Value args[] = {i, i % 13, i * 7, i % 5};
+    handles.push_back(skolems.Intern(f, args, 1 + i % 4));
+  }
+  EXPECT_EQ(skolems.size(), kTerms);
+  std::vector<Value> sorted = handles;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  for (uint64_t i = 0; i < kTerms; ++i) {
+    const Value args[] = {i, i % 13, i * 7, i % 5};
+    ASSERT_EQ(skolems.Intern(f, args, 1 + i % 4), handles[i]) << i;
+    SkolemTerm t = skolems.get(handles[i]);
+    ASSERT_EQ(t.args.size(), 1 + i % 4);
+    EXPECT_EQ(t.args[0], i);
+  }
+  EXPECT_EQ(skolems.size(), kTerms);
+  // Arena words (~3.5 per term) plus at least one slot per term.
+  EXPECT_GT(skolems.resident_bytes(), kTerms * 3 * sizeof(Value));
+}
+
+TEST(SkolemStoreTest, ReportsIdSpaceExhaustion) {
+  SkolemStore skolems(/*max_terms=*/3);
+  uint32_t f = skolems.InternFunction("f");
+  Value a = skolems.Intern(f, {1});
+  Value b = skolems.Intern(f, {2});
+  Value c = skolems.Intern(f, {3});
+  EXPECT_NE(c, SkolemStore::kExhausted);
+  EXPECT_EQ(skolems.Intern(f, {4}), SkolemStore::kExhausted);
+  EXPECT_EQ(skolems.Intern(f, {5}), SkolemStore::kExhausted);
+  // Existing terms still resolve; nothing aliased or wrapped.
+  EXPECT_EQ(skolems.Intern(f, {1}), a);
+  EXPECT_EQ(skolems.Intern(f, {2}), b);
+  EXPECT_EQ(skolems.size(), 3u);
+}
+
+TEST(SkolemStoreTest, ConcurrentInterningAgreesOnIdentity) {
+  SkolemStore skolems;
+  uint32_t f = skolems.InternFunction("f");
+  uint32_t g = skolems.InternFunction("g");
+  constexpr size_t kThreads = 8;
+  constexpr uint64_t kPerThread = 4000;
+  constexpr uint64_t kKeys = 10000;  // windows overlap across threads
+  // Each thread interns g(k) and f(k, g(k), k % 11) for its window of
+  // keys; windows start 1500 apart, so neighbouring threads race on
+  // most of their terms.
+  std::vector<std::vector<std::pair<Value, Value>>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      for (uint64_t i = 0; i < kPerThread; ++i) {
+        uint64_t k = (w * 1500 + i) % kKeys;
+        Value inner = skolems.Intern(g, {k});
+        const Value args[] = {k, inner, k % 11};
+        got[w].push_back({inner, skolems.Intern(f, args, 3)});
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  std::unordered_map<uint64_t, std::pair<Value, Value>> by_key;
+  for (size_t w = 0; w < kThreads; ++w) {
+    for (uint64_t i = 0; i < kPerThread; ++i) {
+      uint64_t k = (w * 1500 + i) % kKeys;
+      auto [it, fresh] = by_key.emplace(k, got[w][i]);
+      EXPECT_EQ(it->second, got[w][i]) << "key " << k;  // equal terms
+    }
+  }
+  std::unordered_set<Value> distinct;
+  for (const auto& [k, pair] : by_key) {
+    distinct.insert(pair.first);
+    distinct.insert(pair.second);
+    SkolemTerm t = skolems.get(pair.second);
+    EXPECT_EQ(t.fn, f);
+    ASSERT_EQ(t.args.size(), 3u);
+    EXPECT_EQ(t.args[0], k);
+    EXPECT_EQ(t.args[1], pair.first);
+  }
+  EXPECT_EQ(distinct.size(), 2 * by_key.size());  // distinct terms
+  EXPECT_EQ(skolems.size(), 2 * by_key.size());
 }
 
 TEST(RelationTest, InsertDedupAndRounds) {
@@ -489,6 +615,41 @@ TEST_F(EvaluatorTest, TupleBudgetAborts) {
   ctx_.set_tuple_budget(500);
   Status st = evaluator_.Evaluate(program, &edb_, &idb_, &ctx_);
   EXPECT_TRUE(st.IsResourceExhausted()) << st.ToString();
+}
+
+// A full Skolem id space fails the evaluation with a typed status — on
+// the serial path and from parallel workers — instead of wrapping the
+// tuple-id encoding onto plain term values.
+TEST(EvaluatorSkolemTest, IdSpaceExhaustionFailsTyped) {
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    rdf::TermDictionary dict;
+    SkolemStore skolems(/*max_terms=*/20);
+    Evaluator evaluator(&dict, &skolems);
+    evaluator.set_num_threads(threads);
+    Program program;
+    PredicateId edge = program.predicates.Intern("edge", 2);
+    Database edb, idb;
+    for (Value i = 0; i < 50; ++i) edb.relation(edge, 2).Insert({i, i + 1}, 0);
+    uint32_t f = skolems.InternFunction("f");
+    uint32_t g = skolems.InternFunction("g");
+    RuleBuilder base(&program.predicates);
+    base.Head("path", {base.Var("ID"), base.Var("X"), base.Var("Y")});
+    base.Body("edge", {base.Var("X"), base.Var("Y")});
+    base.Skolem(base.Var("ID"), f, {base.Var("X"), base.Var("Y")});
+    program.rules.push_back(base.Build());
+    RuleBuilder step(&program.predicates);
+    step.Head("path", {step.Var("ID"), step.Var("X"), step.Var("Z")});
+    step.Body("path", {step.Var("I"), step.Var("X"), step.Var("Y")});
+    step.Body("edge", {step.Var("Y"), step.Var("Z")});
+    step.Skolem(step.Var("ID"), g, {step.Var("I"), step.Var("Z")});
+    program.rules.push_back(step.Build());
+
+    ExecContext ctx;
+    Status st = evaluator.Evaluate(program, &edb, &idb, &ctx);
+    EXPECT_TRUE(st.IsResourceExhausted()) << st.ToString();
+    EXPECT_EQ(skolems.size(), 20u);
+  }
 }
 
 TEST(ProgramValidateTest, RejectsUnsafeRules) {

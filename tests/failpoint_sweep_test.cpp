@@ -197,6 +197,14 @@ TEST_F(FailpointSweepTest, EveryRegisteredSiteInjectsTypedStatusAndRecovers) {
                [world] { return world->Query(); }};
   }
   {
+    // Every answer tuple of the path query carries a Skolem tuple id
+    // minted by the evaluator's Skolem builtin.
+    auto world = std::make_shared<World>();
+    drivers["datalog.skolem.intern"] =
+        Driver{[world] { return world->Query(); },
+               [world] { return world->Query(); }};
+  }
+  {
     // The parallel round-barrier merge runs only for sharded recursive
     // strata: multiple fixpoint threads and the generic evaluator (the
     // TC kernel would swallow the single-closure stratum otherwise).

@@ -578,7 +578,7 @@ TEST_F(ParallelFixpointTest, SkolemStoreConcurrentInterningIsConsistent) {
       uint64_t k = (i + w * 53) % kDistinct;
       EXPECT_EQ(vals[w][2 * i], skolems.Intern(f, {k, k % 7}));
       EXPECT_EQ(vals[w][2 * i + 1], skolems.Intern(g, {k}));
-      const SkolemTerm& t = skolems.get(vals[w][2 * i]);
+      const SkolemTerm t = skolems.get(vals[w][2 * i]);
       EXPECT_EQ(t.fn, f);
       ASSERT_EQ(t.args.size(), 2u);
       EXPECT_EQ(t.args[0], k);

@@ -231,6 +231,35 @@ TEST_F(ServerRoutingTest, StatsAndHealthRoutes) {
   EXPECT_NE(health.body.find("\"loaded\":true"), std::string::npos);
 }
 
+/// The integer after `"key":` in a flat JSON body (0 when absent).
+uint64_t JsonCount(const std::string& body, const std::string& key) {
+  size_t at = body.find("\"" + key + "\":");
+  if (at == std::string::npos) return 0;
+  return std::stoull(body.substr(at + key.size() + 3));
+}
+
+TEST_F(ServerRoutingTest, StatsReportSkolemStoreGauge) {
+  HttpResponse before = Get("/stats");
+  ASSERT_NE(before.body.find("\"skolem_terms\":"), std::string::npos)
+      << before.body;
+  ASSERT_NE(before.body.find("\"skolem_bytes\":"), std::string::npos)
+      << before.body;
+  // A recursive path query mints one Skolem tuple id per derived answer.
+  EXPECT_EQ(Post("PREFIX ex: <http://ex.org/> "
+                 "SELECT ?x ?y WHERE { ?x ex:p+ ?y }")
+                .status,
+            200);
+  HttpResponse after = Get("/stats");
+  EXPECT_GT(JsonCount(after.body, "skolem_terms"),
+            JsonCount(before.body, "skolem_terms"))
+      << after.body;
+  EXPECT_GT(JsonCount(after.body, "skolem_bytes"), 0u) << after.body;
+  EXPECT_GE(JsonCount(after.body, "skolem_bytes"),
+            JsonCount(before.body, "skolem_bytes"));
+  // storage.bytes stays the EDB footprint alone.
+  EXPECT_EQ(JsonCount(after.body, "bytes"), engine_->edb_storage().bytes);
+}
+
 // --- Status -> HTTP mapping ------------------------------------------------
 
 // Table-driven over EVERY StatusCode: each code's HTTP rendering is a
