@@ -1,11 +1,12 @@
 // Ablation of the engine-side query planning DESIGN.md calls out: the
-// greedy join-reorder pass and the constant-endpoint closure seeding
-// (first table), and the cost-based join planner — EDB statistics +
-// greedy/DP body ordering (second table). All are semantics-preserving
-// (verified here by comparing solutions/row counts), so the only
-// difference is cost — this binary quantifies it on SP2Bench's join-heavy
-// queries, on seeded/unseeded reachability, on the plan-sensitive
-// dense-first document star, and on a synthetic characteristic-set star.
+// constant-endpoint closure seeding (first table; the greedy
+// join-reorder pass runs in both columns) and the cost-based join
+// planner — EDB statistics + greedy/DP body ordering (second table).
+// All are semantics-preserving (verified here by comparing solutions/row
+// counts), so the only difference is cost — this binary quantifies it on
+// SP2Bench's join-heavy queries, on seeded/unseeded reachability, on the
+// plan-sensitive dense-first document star, and on a synthetic
+// characteristic-set star.
 
 #include <cstdio>
 
@@ -32,11 +33,10 @@ struct RunOutcome {
 
 RunOutcome RunOnce(const rdf::Dataset& /*dataset*/, rdf::TermDictionary* dict,
                    datalog::Database* edb, const sparql::Query& query,
-                   bool reorder, bool seed, int timeout_ms) {
+                   bool seed, int timeout_ms) {
   RunOutcome out;
   datalog::SkolemStore skolems;
   core::QueryTranslator translator(dict, &skolems);
-  translator.set_reorder_joins(reorder);
   translator.set_seed_constants(seed);
   auto program = translator.Translate(query);
   if (!program.ok()) return out;
@@ -124,15 +124,14 @@ int main(int argc, char** argv) {
        Sp2bPrefixes() + "SELECT ?a WHERE { ?a dcterms:references+ <" +
            articles + "5> }"});
 
-  TablePrinter table({"Query", "baseline plan (s)", "optimized plan (s)",
+  TablePrinter table({"Query", "unseeded (s)", "seeded (s)",
                       "speedup", "rows agree"});
   for (const Case& c : cases) {
     auto parsed = sparql::ParseQuery(c.query, &dict);
     if (!parsed.ok()) continue;
-    RunOutcome off = RunOnce(dataset, &dict, &edb, *parsed, false, false,
+    RunOutcome off = RunOnce(dataset, &dict, &edb, *parsed, false,
                              timeout_ms);
-    RunOutcome on = RunOnce(dataset, &dict, &edb, *parsed, true, true,
-                            timeout_ms);
+    RunOutcome on = RunOnce(dataset, &dict, &edb, *parsed, true, timeout_ms);
     std::string speedup =
         (off.ok && on.ok && on.seconds > 0)
             ? StringPrintf("%.1fx", off.seconds / on.seconds)

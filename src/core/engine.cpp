@@ -31,7 +31,12 @@ double ThreadCpuSeconds() {
   return double(ts.tv_sec) + double(ts.tv_nsec) * 1e-9;
 }
 
-/// Lock-free running maximum.
+/// Counts one engine-side event (an EVENT row of core/engine_stats.h).
+void Bump(std::atomic<uint64_t>* counter) {
+  counter->fetch_add(1, std::memory_order_relaxed);
+}
+
+/// Lock-free running maximum (a MAX row of core/engine_stats.h).
 void AtomicMax(std::atomic<uint64_t>* target, uint64_t value) {
   uint64_t cur = target->load(std::memory_order_relaxed);
   while (cur < value &&
@@ -72,7 +77,7 @@ Status Engine::Load() {
     // queries finished before we got the exclusive lock; they saw the
     // previous snapshot consistently.
     stratum_memo_.Clear();
-    counters_.invalidations.fetch_add(1, std::memory_order_relaxed);
+    Bump(&counters_.invalidations);
   }
   edb_ = std::move(fresh);
   loaded_generation_ = generation;
@@ -135,10 +140,8 @@ Status Engine::ApplyUpdate(const std::vector<rdf::Triple>& inserts,
             .count();
     if (stats != nullptr) *stats = us;
     if (st.ok()) {
-      counters_.updates.fetch_add(1, std::memory_order_relaxed);
-      if (us.noop) {
-        counters_.update_noops.fetch_add(1, std::memory_order_relaxed);
-      }
+      Bump(&counters_.updates);
+      if (us.noop) Bump(&counters_.update_noops);
     }
     return st;
   };
@@ -184,10 +187,9 @@ Status Engine::ApplyUpdate(const std::vector<rdf::Triple>& inserts,
   }
 
   // A direct dataset mutation since the loaded snapshot means the graph
-  // no longer matches the EDB we would delta against; so does disabling
-  // the incremental path. Both publish via the full rebuild.
-  const bool incremental = options_.update.incremental &&
-                           dataset_->Generation() == loaded_generation_;
+  // no longer matches the EDB we would delta against: publish via the
+  // full rebuild.
+  const bool incremental = dataset_->Generation() == loaded_generation_;
   datalog::PredicateTable scratch;
   EdbPredicates preds = InternEdbPredicates(&scratch);
 
@@ -211,7 +213,7 @@ Status Engine::ApplyUpdate(const std::vector<rdf::Triple>& inserts,
     }
     edb_ = std::move(fresh);
     stratum_memo_.Clear();
-    counters_.invalidations.fetch_add(1, std::memory_order_relaxed);
+    Bump(&counters_.invalidations);
     loaded_generation_ = dataset_->Generation();
     edb_base_fp_ = loaded_generation_;
     edb_versions_.clear();
@@ -451,7 +453,7 @@ Status Engine::ApplyUpdate(const std::vector<rdf::Triple>& inserts,
 void Engine::PlanForEdb(datalog::Program* program,
                         const datalog::EdbStats& stats) const {
   datalog::PlanProgram(program, stats);
-  counters_.plans_computed.fetch_add(1, std::memory_order_relaxed);
+  Bump(&counters_.plans_computed);
 }
 
 Result<datalog::Program> Engine::Translate(const sparql::Query& query) const {
@@ -483,7 +485,7 @@ Result<std::shared_ptr<const datalog::Program>> Engine::TranslateCached(
   const bool planner = options_.planner.join_planner;
   if (std::optional<ProgramCache::Entry> entry = program_cache_.Lookup(shape)) {
     if (entry->data_key == shape.data_key) {
-      counters_.program_hits.fetch_add(1, std::memory_order_relaxed);
+      Bump(&counters_.program_hits);
       qs->program_source = ProgramSource::kCacheHit;
       if (planner && (scoped || entry->plan_generation != stats->generation())) {
         // The cached plan is stale (EDB rebuilt since it was computed) or
@@ -501,15 +503,13 @@ Result<std::shared_ptr<const datalog::Program>> Engine::TranslateCached(
         }
         return program;
       }
-      if (planner) {
-        counters_.plan_cache_hits.fetch_add(1, std::memory_order_relaxed);
-      }
+      if (planner) Bump(&counters_.plan_cache_hits);
       return entry->program;
     }
     std::optional<datalog::Program> rebound =
         RebindProgram(*entry, shape, query, AmbientValues());
     if (rebound.has_value()) {
-      counters_.program_rebinds.fetch_add(1, std::memory_order_relaxed);
+      Bump(&counters_.program_rebinds);
       qs->program_source = ProgramSource::kRebound;
       // Re-bound constants shift selectivities, so the plan is recomputed
       // along with the binding (still far cheaper than re-translating).
@@ -531,7 +531,7 @@ Result<std::shared_ptr<const datalog::Program>> Engine::TranslateCached(
     // A changing parameter collided with an engine constant; fall through
     // to a fresh translation and make it the shape's new template.
   }
-  counters_.program_misses.fetch_add(1, std::memory_order_relaxed);
+  Bump(&counters_.program_misses);
   qs->program_source = ProgramSource::kTranslated;
   SPARQLOG_ASSIGN_OR_RETURN(datalog::Program translated, Translate(query));
   if (planner) PlanForEdb(&translated, *stats);
@@ -572,7 +572,7 @@ Status Engine::Admit(const QueryLimits& limits) const {
   if (queue_limit == 0 || queue_waiters_ >= queue_limit) {
     // Saturated and no queue slot: shed immediately (queue_limit == 0 is
     // the legacy fail-fast mode).
-    counters_.rejected.fetch_add(1, std::memory_order_relaxed);
+    Bump(&counters_.rejected);
     RecordOutcomeLocked(Outcome::kShed);
     return Status::Unavailable(
         "Engine::Execute: admission control rejected the query (" +
@@ -588,13 +588,13 @@ Status Engine::Admit(const QueryLimits& limits) const {
   }
   const auto deadline = std::chrono::steady_clock::now() + wait_budget;
   ++queue_waiters_;
-  queued_total_.fetch_add(1, std::memory_order_relaxed);
+  Bump(&counters_.queued);
   while (in_flight_.load(std::memory_order_relaxed) >= effective_cap()) {
     if (admission_cv_.wait_until(lock, deadline) ==
         std::cv_status::timeout &&
         in_flight_.load(std::memory_order_relaxed) >= effective_cap()) {
       --queue_waiters_;
-      counters_.rejected.fetch_add(1, std::memory_order_relaxed);
+      Bump(&counters_.rejected);
       RecordOutcomeLocked(Outcome::kShed);
       return Status::Unavailable(
           "Engine::Execute: queued past the admission deadline (" +
@@ -653,12 +653,12 @@ void Engine::RecordOutcomeLocked(Outcome outcome) const {
     // Lock order: admission_mu_ -> cache mutexes; the caches never call
     // back into admission.
     degraded_.store(true, std::memory_order_relaxed);
-    degrade_entries_.fetch_add(1, std::memory_order_relaxed);
+    Bump(&counters_.degrade_entries);
     stratum_memo_.Clear();
     program_cache_.Clear();
   } else if (degraded && ratio <= cfg.exit_ratio) {
     degraded_.store(false, std::memory_order_relaxed);
-    degrade_exits_.fetch_add(1, std::memory_order_relaxed);
+    Bump(&counters_.degrade_exits);
     // Capacity just doubled back: wake every queued waiter to re-check.
     admission_cv_.notify_all();
   }
@@ -681,7 +681,7 @@ Result<Engine::Execution> Engine::Execute(const sparql::Query& query,
   // consistent loaded snapshot, and a re-Load waits for us to finish.
   std::shared_lock<std::shared_mutex> lock(state_mu_);
   if (!loaded_.load(std::memory_order_relaxed)) {
-    counters_.failures.fetch_add(1, std::memory_order_relaxed);
+    Bump(&counters_.failures);
     return Status::FailedPrecondition(
         "Engine::Execute: Load() must complete before queries are served");
   }
@@ -716,10 +716,10 @@ Result<Engine::Execution> Engine::Execute(const sparql::Query& query,
   }();
 
   if (result.ok()) {
-    counters_.queries.fetch_add(1, std::memory_order_relaxed);
+    Bump(&counters_.queries);
     RecordOutcome(Outcome::kOk);
   } else {
-    counters_.failures.fetch_add(1, std::memory_order_relaxed);
+    Bump(&counters_.failures);
     // Only pressure signals feed the degrade window: a parse error or
     // unsupported feature says nothing about load.
     if (result.status().IsTimeout()) {
@@ -767,7 +767,6 @@ Result<Engine::Execution> Engine::ExecuteInternal(
   datalog::Evaluator evaluator(dict_, &skolems_);
   evaluator.set_num_threads(options_.parallelism.num_threads);
   evaluator.set_parallel_merge(options_.parallelism.parallel_merge);
-  evaluator.set_parallel_naive(options_.parallelism.parallel_naive);
   evaluator.set_tc_kernel(options_.fixpoint.tc_kernel);
   // Degraded mode bypasses the stratum memo entirely: no lookups (the
   // memo was just shed) and — more importantly — no new snapshots taken
@@ -792,35 +791,13 @@ Result<Engine::Execution> Engine::ExecuteInternal(
 
   // Fold this query's fixpoint counters into the engine-lifetime totals.
   const datalog::EvalStats& es = qs.fixpoint;
-  counters_.stratum_hits.fetch_add(es.strata_memo_hits,
-                                   std::memory_order_relaxed);
-  counters_.stratum_misses.fetch_add(es.strata_memo_misses,
-                                     std::memory_order_relaxed);
-  counters_.tuples_restored.fetch_add(es.tuples_restored,
-                                      std::memory_order_relaxed);
-  counters_.rounds.fetch_add(es.rounds, std::memory_order_relaxed);
-  counters_.parallel_rounds.fetch_add(es.parallel_rounds,
-                                      std::memory_order_relaxed);
-  counters_.naive_rounds_sharded.fetch_add(es.naive_rounds_sharded,
-                                           std::memory_order_relaxed);
-  counters_.staged_tuples_merged.fetch_add(es.staged_merged,
-                                           std::memory_order_relaxed);
-  AtomicMax(&counters_.merge_fanout_width, es.merge_fanout_width);
-  counters_.tc_kernels_hit.fetch_add(es.tc_kernels_hit,
-                                     std::memory_order_relaxed);
-  counters_.tc_dense_frontiers.fetch_add(es.tc_dense_frontiers,
-                                         std::memory_order_relaxed);
-  counters_.tc_sparse_frontiers.fetch_add(es.tc_sparse_frontiers,
-                                          std::memory_order_relaxed);
-  counters_.strata_incremental.fetch_add(es.strata_incremental,
-                                         std::memory_order_relaxed);
-  counters_.strata_dred.fetch_add(es.strata_dred, std::memory_order_relaxed);
-  counters_.incremental_fallbacks.fetch_add(es.incremental_fallbacks,
-                                            std::memory_order_relaxed);
-  counters_.tuples_overdeleted.fetch_add(es.tuples_overdeleted,
-                                         std::memory_order_relaxed);
-  counters_.tuples_rederived.fetch_add(es.tuples_rederived,
-                                       std::memory_order_relaxed);
+#define SPARQLOG_STAT_FOLD_SUM(name) \
+  counters_.name.fetch_add(es.name, std::memory_order_relaxed);
+#define SPARQLOG_STAT_FOLD_MAX(name) AtomicMax(&counters_.name, es.name);
+  SPARQLOG_ENGINE_STATS(SPARQLOG_STAT_SKIP, SPARQLOG_STAT_FOLD_SUM,
+                        SPARQLOG_STAT_FOLD_MAX, SPARQLOG_STAT_SKIP)
+#undef SPARQLOG_STAT_FOLD_SUM
+#undef SPARQLOG_STAT_FOLD_MAX
 
   // Planner feedback: q-error between the estimated and materialized
   // output cardinality (benchmarks watch this to keep the cost model
@@ -865,45 +842,13 @@ Result<std::string> Engine::TranslateToText(
 
 Engine::EngineStats Engine::stats() const {
   EngineStats s;
-  const auto ld = [](const std::atomic<uint64_t>& a) {
-    return a.load(std::memory_order_relaxed);
-  };
-  s.queries = ld(counters_.queries);
-  s.failures = ld(counters_.failures);
-  s.rejected = ld(counters_.rejected);
-  s.in_flight = in_flight_.load(std::memory_order_relaxed);
-  s.queued = queued_total_.load(std::memory_order_relaxed);
-  s.degraded = degraded_.load(std::memory_order_relaxed);
-  s.degrade_entries = degrade_entries_.load(std::memory_order_relaxed);
-  s.degrade_exits = degrade_exits_.load(std::memory_order_relaxed);
-  s.program_hits = ld(counters_.program_hits);
-  s.program_rebinds = ld(counters_.program_rebinds);
-  s.program_misses = ld(counters_.program_misses);
-  s.program_evictions = program_cache_.evictions();
-  s.stratum_hits = ld(counters_.stratum_hits);
-  s.stratum_misses = ld(counters_.stratum_misses);
-  s.stratum_evictions = stratum_memo_.evictions();
-  s.tuples_restored = ld(counters_.tuples_restored);
-  s.invalidations = ld(counters_.invalidations);
-  s.plans_computed = ld(counters_.plans_computed);
-  s.plan_cache_hits = ld(counters_.plan_cache_hits);
-  s.rounds = ld(counters_.rounds);
-  s.parallel_rounds = ld(counters_.parallel_rounds);
-  s.naive_rounds_sharded = ld(counters_.naive_rounds_sharded);
-  s.staged_tuples_merged = ld(counters_.staged_tuples_merged);
-  s.merge_fanout_width = ld(counters_.merge_fanout_width);
-  s.tc_kernels_hit = ld(counters_.tc_kernels_hit);
-  s.tc_dense_frontiers = ld(counters_.tc_dense_frontiers);
-  s.tc_sparse_frontiers = ld(counters_.tc_sparse_frontiers);
-  s.updates = ld(counters_.updates);
-  s.update_noops = ld(counters_.update_noops);
-  s.strata_incremental = ld(counters_.strata_incremental);
-  s.strata_dred = ld(counters_.strata_dred);
-  s.incremental_fallbacks = ld(counters_.incremental_fallbacks);
-  s.tuples_overdeleted = ld(counters_.tuples_overdeleted);
-  s.tuples_rederived = ld(counters_.tuples_rederived);
-  s.interning_contention =
-      dict_->intern_contention() + skolems_.intern_contention();
+#define SPARQLOG_STAT_LOAD(name) \
+  s.name = counters_.name.load(std::memory_order_relaxed);
+#define SPARQLOG_STAT_READ_GAUGE(name, Type, expr) s.name = expr;
+  SPARQLOG_ENGINE_STATS(SPARQLOG_STAT_LOAD, SPARQLOG_STAT_LOAD,
+                        SPARQLOG_STAT_LOAD, SPARQLOG_STAT_READ_GAUGE)
+#undef SPARQLOG_STAT_LOAD
+#undef SPARQLOG_STAT_READ_GAUGE
   return s;
 }
 

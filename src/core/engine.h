@@ -8,6 +8,7 @@
 #include <string_view>
 
 #include "core/data_translator.h"
+#include "core/engine_stats.h"
 #include "core/program_cache.h"
 #include "core/query_translator.h"
 #include "core/solution_translator.h"
@@ -79,9 +80,6 @@ class Engine {
       /// Fans the parallel round-barrier merge out per target predicate
       /// (bit-identical to the serial merge). Off = serial merge.
       bool parallel_merge = true;
-      /// Shards the initial naive pass of recursive strata like the
-      /// delta rounds. Off = the serial initial pass.
-      bool parallel_naive = true;
     };
 
     /// Cross-query caching knobs (core/program_cache.h,
@@ -162,15 +160,6 @@ class Engine {
 
     /// Incremental EDB maintenance (ApplyUpdate; datalog/incremental.h).
     struct Update {
-      /// Publishes ApplyUpdate mutations by translating only the changed
-      /// triples into per-predicate EDB deltas and invalidating memoized
-      /// strata selectively (per-predicate version counters in the
-      /// stratum fingerprints); affected strata are then re-derived from
-      /// their pre-update snapshots at the next query instead of from
-      /// scratch. Off = every ApplyUpdate falls back to the full
-      /// rebuild-and-clear path (the exact re-Load() behaviour, kept for
-      /// differentials and ablations). Results are identical either way.
-      bool incremental = true;
       /// DRed over-deletion bound: when a deletion cascade over-deletes
       /// more than this many tuples in one stratum, the evaluator
       /// abandons the incremental path for that stratum and recomputes
@@ -240,56 +229,26 @@ class Engine {
   };
 
   /// Engine-lifetime counters, aggregated across all (concurrent)
-  /// Execute calls. Snapshot of atomics — cheap, lock-free, callable
-  /// from any thread (e.g. the server's /stats endpoint).
+  /// Execute calls. Members, their order and the row kinds come from
+  /// SPARQLOG_ENGINE_STATS (core/engine_stats.h). Snapshot of atomics —
+  /// cheap, lock-free, callable from any thread (e.g. the server's
+  /// /stats endpoint).
   struct EngineStats {
-    uint64_t queries = 0;         ///< admitted Execute calls, completed
-    uint64_t failures = 0;        ///< admitted calls that returned !ok
-    uint64_t rejected = 0;        ///< admission-control rejections (shed)
-    uint64_t in_flight = 0;       ///< currently admitted calls
-    uint64_t queued = 0;          ///< calls that waited in the admission queue
-    // Degraded-mode controller (Options::Degrade).
-    bool degraded = false;        ///< currently in degraded mode
-    uint64_t degrade_entries = 0; ///< times degraded mode was entered
-    uint64_t degrade_exits = 0;   ///< times it recovered automatically
-    // Program cache.
-    uint64_t program_hits = 0;
-    uint64_t program_rebinds = 0;
-    uint64_t program_misses = 0;
-    uint64_t program_evictions = 0;
-    // Stratum memo.
-    uint64_t stratum_hits = 0;
-    uint64_t stratum_misses = 0;
-    uint64_t stratum_evictions = 0;
-    uint64_t tuples_restored = 0;
-    /// EDB rebuilds triggered by re-Load() after a dataset mutation.
-    uint64_t invalidations = 0;
-    // Join planner.
-    uint64_t plans_computed = 0;
-    uint64_t plan_cache_hits = 0;
-    // Fixpoint parallelism (summed across queries; fan-out width is the
-    // maximum any single round reached).
-    uint64_t rounds = 0;
-    uint64_t parallel_rounds = 0;
-    uint64_t naive_rounds_sharded = 0;
-    uint64_t staged_tuples_merged = 0;
-    uint64_t merge_fanout_width = 0;
-    // Transitive-closure kernel (datalog/tc_kernel.h; summed across
-    // queries — one "hit" is one TC-shaped stratum run by the kernel).
-    uint64_t tc_kernels_hit = 0;
-    uint64_t tc_dense_frontiers = 0;
-    uint64_t tc_sparse_frontiers = 0;
-    // Incremental maintenance (ApplyUpdate + the evaluator's delta
-    // re-derivation; strata counters are summed across queries).
-    uint64_t updates = 0;        ///< ApplyUpdate calls, completed OK
-    uint64_t update_noops = 0;   ///< updates whose net delta was empty
-    uint64_t strata_incremental = 0;  ///< strata re-derived from snapshots
-    uint64_t strata_dred = 0;         ///< incremental strata that ran DRed
-    uint64_t incremental_fallbacks = 0;  ///< DRed-bound full recomputes
-    uint64_t tuples_overdeleted = 0;
-    uint64_t tuples_rederived = 0;
-    /// Current dict + Skolem interning-contention totals.
-    uint64_t interning_contention = 0;
+#define SPARQLOG_STAT_MEMBER(name) uint64_t name = 0;
+#define SPARQLOG_STAT_GAUGE_MEMBER(name, Type, expr) Type name = Type{};
+    SPARQLOG_ENGINE_STATS(SPARQLOG_STAT_MEMBER, SPARQLOG_STAT_MEMBER,
+                          SPARQLOG_STAT_MEMBER, SPARQLOG_STAT_GAUGE_MEMBER)
+#undef SPARQLOG_STAT_MEMBER
+#undef SPARQLOG_STAT_GAUGE_MEMBER
+
+    /// Calls `f(name, value)` for every counter, in list order.
+    template <typename F>
+    void ForEach(F&& f) const {
+#define SPARQLOG_STAT_VISIT(name, ...) f(#name, name);
+      SPARQLOG_ENGINE_STATS(SPARQLOG_STAT_VISIT, SPARQLOG_STAT_VISIT,
+                            SPARQLOG_STAT_VISIT, SPARQLOG_STAT_VISIT)
+#undef SPARQLOG_STAT_VISIT
+    }
   };
 
   /// What one ApplyUpdate call did.
@@ -336,13 +295,14 @@ class Engine {
   /// empty net delta is a true no-op: no generation bump, no EDB work,
   /// no cache invalidation.
   ///
-  /// With Options::Update::incremental (default), publishing translates
-  /// only the changed triples into per-predicate EDB deltas — term/kind
-  /// and subjectOrObject rows are maintained by occurrence counting —
-  /// and memoized strata are invalidated selectively; affected strata
-  /// re-derive from their snapshots at the next query (insertions as one
-  /// extra semi-naive round, deletions via DRed). Requires a
-  /// mutable-dataset engine and a completed Load().
+  /// Publishing translates only the changed triples into per-predicate
+  /// EDB deltas — term/kind and subjectOrObject rows are maintained by
+  /// occurrence counting — and memoized strata are invalidated
+  /// selectively; affected strata re-derive from their snapshots at the
+  /// next query (insertions as one extra semi-naive round, deletions via
+  /// DRed). When the dataset was mutated directly since the loaded
+  /// snapshot, the update publishes through a full EDB rebuild instead.
+  /// Requires a mutable-dataset engine and a completed Load().
   Status ApplyUpdate(const std::vector<rdf::Triple>& inserts,
                      const std::vector<rdf::Triple>& deletes,
                      UpdateStats* stats = nullptr);
@@ -387,35 +347,12 @@ class Engine {
   StorageStats edb_storage() const;
 
  private:
-  /// Atomic engine-lifetime counters behind EngineStats.
+  /// Relaxed atomics behind every non-gauge EngineStats counter.
   struct Counters {
-    std::atomic<uint64_t> queries{0};
-    std::atomic<uint64_t> failures{0};
-    std::atomic<uint64_t> rejected{0};
-    std::atomic<uint64_t> program_hits{0};
-    std::atomic<uint64_t> program_rebinds{0};
-    std::atomic<uint64_t> program_misses{0};
-    std::atomic<uint64_t> stratum_hits{0};
-    std::atomic<uint64_t> stratum_misses{0};
-    std::atomic<uint64_t> tuples_restored{0};
-    std::atomic<uint64_t> invalidations{0};
-    std::atomic<uint64_t> plans_computed{0};
-    std::atomic<uint64_t> plan_cache_hits{0};
-    std::atomic<uint64_t> rounds{0};
-    std::atomic<uint64_t> parallel_rounds{0};
-    std::atomic<uint64_t> naive_rounds_sharded{0};
-    std::atomic<uint64_t> staged_tuples_merged{0};
-    std::atomic<uint64_t> merge_fanout_width{0};  // running maximum
-    std::atomic<uint64_t> tc_kernels_hit{0};
-    std::atomic<uint64_t> tc_dense_frontiers{0};
-    std::atomic<uint64_t> tc_sparse_frontiers{0};
-    std::atomic<uint64_t> updates{0};
-    std::atomic<uint64_t> update_noops{0};
-    std::atomic<uint64_t> strata_incremental{0};
-    std::atomic<uint64_t> strata_dred{0};
-    std::atomic<uint64_t> incremental_fallbacks{0};
-    std::atomic<uint64_t> tuples_overdeleted{0};
-    std::atomic<uint64_t> tuples_rederived{0};
+#define SPARQLOG_STAT_ATOMIC(name) std::atomic<uint64_t> name{0};
+    SPARQLOG_ENGINE_STATS(SPARQLOG_STAT_ATOMIC, SPARQLOG_STAT_ATOMIC,
+                          SPARQLOG_STAT_ATOMIC, SPARQLOG_STAT_SKIP)
+#undef SPARQLOG_STAT_ATOMIC
   };
 
   /// What an admitted query's completion tells the degrade controller.
@@ -524,9 +461,6 @@ class Engine {
   mutable size_t outcome_count_ = 0;
   mutable uint32_t outcome_bad_ = 0;
   mutable std::atomic<bool> degraded_{false};
-  mutable std::atomic<uint64_t> queued_total_{0};
-  mutable std::atomic<uint64_t> degrade_entries_{0};
-  mutable std::atomic<uint64_t> degrade_exits_{0};
 };
 
 }  // namespace sparqlog::core

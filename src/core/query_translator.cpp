@@ -1101,8 +1101,7 @@ Result<Program> QueryTranslator::Translate(const Query& query) {
 
   // Join-order optimization before translation (the engine-side query
   // planning the paper attributes to the Vadalog substrate, §7).
-  sparql::PatternPtr where =
-      reorder_joins_ ? sparql::ReorderJoins(query.where) : query.where;
+  sparql::PatternPtr where = sparql::ReorderJoins(query.where);
   sparql::Query planned = query;
   planned.where = where;
 

@@ -50,11 +50,10 @@ class QueryTranslator {
                   bool ontology = false)
       : dict_(dict), skolems_(skolems), ontology_(ontology) {}
 
-  /// Ablation knobs (see bench/ablation_planner): disable the greedy
-  /// join-reorder pass or the constant-endpoint closure seeding. Both
-  /// default on; turning them off preserves semantics but reverts to the
-  /// naive parse-tree plan of the printed definitions.
-  void set_reorder_joins(bool on) { reorder_joins_ = on; }
+  /// Ablation knob (see bench/ablation_planner): disables the
+  /// constant-endpoint closure seeding. Default on; turning it off
+  /// preserves semantics but evaluates the unseeded closure of the
+  /// printed definitions.
   void set_seed_constants(bool on) { seed_constants_ = on; }
 
   /// Translates a parsed query into a Datalog± program (rules + output
@@ -118,7 +117,6 @@ class QueryTranslator {
   datalog::Program program_;
   EdbPredicates edb_;
   bool needs_comp_ = false;
-  bool reorder_joins_ = true;
   bool seed_constants_ = true;
   datalog::Value empty_skolem_ = 0;    ///< the `[]` constant
   std::string triple_pred_;            ///< "triple" or "itriple"

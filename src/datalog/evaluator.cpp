@@ -21,11 +21,9 @@ constexpr uint32_t kNoDelta = 0xffffffffu;
 
 /// Per-worker round state: one staging TupleStore per parallel head
 /// predicate (deduped locally, merged into the Relation at the barrier)
-/// plus worker-local counters so the shared EvalStats is only touched
-/// serially.
+/// plus a worker-local staged-tuple count for budget checks.
 struct WorkerState {
   std::unordered_map<PredicateId, TupleStore> staging;
-  uint64_t fired = 0;
   uint64_t staged = 0;
   uint32_t clock_phase = 0;
   Status status;
@@ -87,7 +85,6 @@ struct Evaluator::RuleRun {
   std::vector<Value> neg_scratch;
   Status status;
   uint64_t inserted = 0;
-  uint64_t fired = 0;
 
   size_t RelSizeOf(PredicateId pred) const {
     size_t n = 0;
@@ -320,7 +317,6 @@ struct Evaluator::RuleRun {
       ResolveTerm(t, &v);
       head_scratch.push_back(v);
     }
-    ++fired;
     if (staging != nullptr) {
       // Parallel worker: stage instead of inserting. The target relation
       // is read-only until the round barrier, so Contains needs no
@@ -546,13 +542,8 @@ struct Evaluator::RuleRun {
 Status Evaluator::Evaluate(const Program& program, Database* edb,
                            Database* idb, ExecContext* ctx) {
   stats_ = EvalStats();
-  // Interning contention is reported as a delta over this evaluation;
-  // both interners only ever grow their counters.
-  const uint64_t contention_start = expr_eval_.dict()->intern_contention() +
-                                    skolems_->intern_contention();
   SPARQLOG_RETURN_NOT_OK(program.Validate());
   SPARQLOG_ASSIGN_OR_RETURN(Stratification strat, Stratify(program));
-  stats_.strata = strat.num_strata;
 
   // Cross-query stratum memoization (semi-naive only: naive mode is the
   // reference semantics the differential tests compare against, and its
@@ -701,14 +692,14 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
               snap->Restore(program.predicates, round, idb);
           ctx->AddTuples(restored);
           stats_.tuples_restored += restored;
-          ++stats_.strata_memo_hits;
+          ++stats_.stratum_hits;
           SPARQLOG_RETURN_NOT_OK(ctx->CheckBudget());
           record_change();
           ++round;
           continue;
         }
       }
-      ++stats_.strata_memo_misses;
+      ++stats_.stratum_misses;
     }
 
     // TC fast path: a stratum whose only recursive dependency is one
@@ -891,7 +882,6 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
               run.clock_phase = serial_clock_phase;
               Status st = run.Run();
               serial_clock_phase = run.clock_phase;
-              stats_.rules_fired += run.fired;
               SPARQLOG_RETURN_NOT_OK(st);
               if (run.inserted > 0) progress = true;
               overdeleted += run.inserted;
@@ -972,7 +962,6 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
               run.clock_phase = serial_clock_phase;
               Status st = run.Run();
               serial_clock_phase = run.clock_phase;
-              stats_.rules_fired += run.fired;
               SPARQLOG_RETURN_NOT_OK(st);
               if (run.inserted > 0) {
                 found = true;
@@ -1015,7 +1004,6 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
           run.clock_phase = serial_clock_phase;
           Status st = run.Run();
           serial_clock_phase = run.clock_phase;
-          stats_.rules_fired += run.fired;
           SPARQLOG_RETURN_NOT_OK(st);
           inc_new += run.inserted;
         }
@@ -1047,7 +1035,6 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
       run.clock_phase = serial_clock_phase;
       Status st = run.Run();
       serial_clock_phase = run.clock_phase;
-      stats_.rules_fired += run.fired;
       stats_.tuples_derived += run.inserted;
       SPARQLOG_RETURN_NOT_OK(st);
       return run.inserted;
@@ -1119,7 +1106,6 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
       const uint32_t num_workers =
           static_cast<uint32_t>(pool_->num_workers());
       for (WorkerState& ws : workers) {
-        ws.fired = 0;
         ws.staged = 0;
         ws.status = Status::OK();
         for (auto& [pred, store] : ws.staging) store.Clear();
@@ -1155,8 +1141,6 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
             run.shard_lo = tr.lo + b * block;
             run.shard_hi = std::min(tr.hi, run.shard_lo + block);
             Status st = run.Run();
-            ws.fired += run.fired;
-            run.fired = 0;
             if (!st.ok()) {
               ws.status = st;
               ws.clock_phase = run.clock_phase;
@@ -1166,10 +1150,7 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
           ws.clock_phase = run.clock_phase;
         }
       });
-      for (WorkerState& ws : workers) {
-        stats_.rules_fired += ws.fired;
-        SPARQLOG_RETURN_NOT_OK(ws.status);
-      }
+      for (WorkerState& ws : workers) SPARQLOG_RETURN_NOT_OK(ws.status);
 
       // Round barrier: merge the staging buffers into the target
       // relations.
@@ -1194,21 +1175,21 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
         ctx->AddTuples(merged);
       }
       stats_.tuples_derived += merged;
-      stats_.staged_merged += merged;
+      stats_.staged_tuples_merged += merged;
       SPARQLOG_RETURN_NOT_OK(ctx->CheckBudget());
       ++stats_.parallel_rounds;
       return merged;
     };
 
-    // Initial (naive) pass over the current database state. Serial by
-    // default: rules of the same stratum see each other's same-pass
-    // insertions here, which the single-pass completeness of
-    // non-recursive strata relies on. Recursive strata don't need that
-    // visibility — the fixpoint rounds below deliver any derivation the
-    // no-visibility pass misses — so the sharded path fans the initial
-    // pass out too, pivoting each rule on one positive atom: sharding
-    // any single atom over its full row range partitions the rule's
-    // output, and the EDB/IDB source split of the pivot predicate
+    // Initial (naive) pass over the current database state. Serial for
+    // non-recursive strata and at one thread: rules of the same stratum
+    // see each other's same-pass insertions here, which the single-pass
+    // completeness of non-recursive strata relies on. Recursive strata
+    // don't need that visibility — the fixpoint rounds below deliver any
+    // derivation the no-visibility pass misses — so the sharded path fans
+    // the initial pass out too, pivoting each rule on one positive atom:
+    // sharding any single atom over its full row range partitions the
+    // rule's output, and the EDB/IDB source split of the pivot predicate
     // partitions its rows.
     uint64_t new_tuples = 0;
     if (inc_handled) {
@@ -1216,7 +1197,7 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
       // fresh tuples sit at the previous round, which the fixpoint loop
       // below picks up as its first delta.
       new_tuples = inc_new;
-    } else if (shard_stratum && parallel_naive_) {
+    } else if (shard_stratum) {
       std::vector<ScanTask> tasks;
       for (uint32_t ri : rule_ids) {
         if (tc && ri == tc->rule_index) continue;  // kernel handles it
@@ -1311,7 +1292,6 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
       } else {
         ++stats_.tc_sparse_frontiers;
       }
-      stats_.rules_fired += kstats.emitted;
       stats_.tuples_derived += kstats.inserted;
       if (kstats.inserted > 0) {
         ++stats_.rounds;
@@ -1378,9 +1358,6 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
     snapshot_stratum();
     record_change();
   }
-  stats_.interning_contention = expr_eval_.dict()->intern_contention() +
-                                skolems_->intern_contention() -
-                                contention_start;
   return Status::OK();
 }
 

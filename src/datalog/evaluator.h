@@ -26,21 +26,20 @@
 
 namespace sparqlog::datalog {
 
-/// Evaluation statistics (exposed for benchmarks and ablations).
+/// Evaluation statistics (exposed for benchmarks and ablations). The
+/// engine folds every field named in its counter list
+/// (core/engine_stats.h) into the engine-lifetime total of that name.
 struct EvalStats {
-  uint64_t rules_fired = 0;       ///< successful head insertions
   uint64_t tuples_derived = 0;    ///< distinct tuples added
   uint32_t rounds = 0;            ///< total semi-naive rounds
   uint32_t parallel_rounds = 0;   ///< rounds that ran a sharded fan-out
-  uint32_t strata = 0;
-  uint32_t strata_memo_hits = 0;    ///< strata restored from the memo
-  uint32_t strata_memo_misses = 0;  ///< fingerprinted strata evaluated
-  uint64_t tuples_restored = 0;     ///< tuples re-inserted from snapshots
+  uint32_t stratum_hits = 0;      ///< strata restored from the memo
+  uint32_t stratum_misses = 0;    ///< fingerprinted strata evaluated
+  uint64_t tuples_restored = 0;   ///< tuples re-inserted from snapshots
   // Parallel-fixpoint observability (see Engine::stats()).
   uint32_t naive_rounds_sharded = 0;  ///< initial naive passes run sharded
-  uint64_t staged_merged = 0;         ///< tuples inserted by barrier merges
+  uint64_t staged_tuples_merged = 0;  ///< tuples inserted by barrier merges
   uint32_t merge_fanout_width = 0;    ///< max merge workers in any round
-  uint64_t interning_contention = 0;  ///< dict+Skolem lock contention delta
   // Transitive-closure kernel observability (see tc_kernel.h).
   uint32_t tc_kernels_hit = 0;        ///< TC-shaped strata run by the kernel
   uint32_t tc_dense_frontiers = 0;    ///< kernel runs with bitset frontiers
@@ -81,10 +80,6 @@ class Evaluator {
   /// Off = the serial worker-then-predicate merge, kept as the
   /// BM_BarrierMerge baseline and a safety valve.
   void set_parallel_merge(bool on) { parallel_merge_ = on; }
-
-  /// Shards the initial naive pass of recursive strata (default on).
-  /// Off = the serial initial pass with same-pass visibility.
-  void set_parallel_naive(bool on) { parallel_naive_ = on; }
 
   /// Runs TC-shaped recursive strata (one linear closure rule — the
   /// shape every recursive property path translates to) through the
@@ -140,7 +135,6 @@ class Evaluator {
   FixpointMode mode_ = FixpointMode::kSemiNaive;
   uint32_t num_threads_ = 1;
   bool parallel_merge_ = true;
-  bool parallel_naive_ = true;
   bool tc_kernel_ = true;
   StratumMemo* memo_ = nullptr;
   uint64_t dataset_fp_ = 0;

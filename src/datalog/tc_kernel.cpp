@@ -482,7 +482,6 @@ Result<TcKernelStats> RunTcKernel(const TcShape& shape,
       // the full head rows are materialized in one batch per group.
       group_new.clear();
       auto emit = [&](uint32_t node) -> Status {
-        ++out.emitted;
         if (!seed_filter.Contains(node)) {
           group_new.push_back(node);
           if (ctx->tuples_used() + staged_rows + group_new.size() >
@@ -527,7 +526,6 @@ Result<TcKernelStats> RunTcKernel(const TcShape& shape,
   // merge.
   struct TcWorker {
     std::vector<Value> staging;  // flat, head-arity stride
-    uint64_t emitted = 0;
     uint64_t staged = 0;
     uint32_t phase = 0;
     Status status;
@@ -545,7 +543,6 @@ Result<TcKernelStats> RunTcKernel(const TcShape& shape,
       seed_filter.Load(groups[g].second);
       group_new.clear();
       auto emit = [&](uint32_t node) -> Status {
-        ++me.emitted;
         if (!seed_filter.Contains(node)) {
           group_new.push_back(node);
           if (ctx->tuples_used() + me.staged + group_new.size() >
@@ -575,10 +572,7 @@ Result<TcKernelStats> RunTcKernel(const TcShape& shape,
       me.staged += group_new.size();
     }
   });
-  for (TcWorker& w : ws) {
-    out.emitted += w.emitted;
-    SPARQLOG_RETURN_NOT_OK(w.status);
-  }
+  for (TcWorker& w : ws) SPARQLOG_RETURN_NOT_OK(w.status);
   for (TcWorker& w : ws) {
     if (w.staged == 0) continue;
     target->AppendDistinct(w.staging.data(), w.staged, insert_round);

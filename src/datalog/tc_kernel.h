@@ -79,7 +79,6 @@ std::optional<TcShape> DetectTcShape(
 /// One kernel run's outcome, folded into EvalStats by the evaluator.
 struct TcKernelStats {
   uint64_t inserted = 0;  ///< fresh head tuples materialized
-  uint64_t emitted = 0;   ///< candidate emissions (≈ rule firings)
   bool dense = false;     ///< bitset frontiers (vs. sorted-vector)
 };
 

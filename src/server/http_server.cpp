@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 #include <utility>
 
 #include "rdf/turtle_parser.h"
@@ -588,41 +589,13 @@ HttpResponse HttpServer::StatsResponse() const {
   core::Engine::StorageStats storage = engine_->edb_storage();
   JsonWriter w;
   w.BeginObject();
-  w.Key("queries").Number(s.queries);
-  w.Key("failures").Number(s.failures);
-  w.Key("rejected").Number(s.rejected);
-  w.Key("in_flight").Number(s.in_flight);
-  w.Key("queued").Number(s.queued);
-  w.Key("degraded").Bool(s.degraded);
-  w.Key("degrade_entries").Number(s.degrade_entries);
-  w.Key("degrade_exits").Number(s.degrade_exits);
-  w.Key("program_hits").Number(s.program_hits);
-  w.Key("program_rebinds").Number(s.program_rebinds);
-  w.Key("program_misses").Number(s.program_misses);
-  w.Key("program_evictions").Number(s.program_evictions);
-  w.Key("stratum_hits").Number(s.stratum_hits);
-  w.Key("stratum_misses").Number(s.stratum_misses);
-  w.Key("stratum_evictions").Number(s.stratum_evictions);
-  w.Key("tuples_restored").Number(s.tuples_restored);
-  w.Key("invalidations").Number(s.invalidations);
-  w.Key("plans_computed").Number(s.plans_computed);
-  w.Key("plan_cache_hits").Number(s.plan_cache_hits);
-  w.Key("rounds").Number(s.rounds);
-  w.Key("parallel_rounds").Number(s.parallel_rounds);
-  w.Key("naive_rounds_sharded").Number(s.naive_rounds_sharded);
-  w.Key("staged_tuples_merged").Number(s.staged_tuples_merged);
-  w.Key("merge_fanout_width").Number(s.merge_fanout_width);
-  w.Key("interning_contention").Number(s.interning_contention);
-  w.Key("tc_kernels_hit").Number(s.tc_kernels_hit);
-  w.Key("tc_dense_frontiers").Number(s.tc_dense_frontiers);
-  w.Key("tc_sparse_frontiers").Number(s.tc_sparse_frontiers);
-  w.Key("updates").Number(s.updates);
-  w.Key("update_noops").Number(s.update_noops);
-  w.Key("strata_incremental").Number(s.strata_incremental);
-  w.Key("strata_dred").Number(s.strata_dred);
-  w.Key("incremental_fallbacks").Number(s.incremental_fallbacks);
-  w.Key("tuples_overdeleted").Number(s.tuples_overdeleted);
-  w.Key("tuples_rederived").Number(s.tuples_rederived);
+  s.ForEach([&w](const char* key, auto value) {
+    if constexpr (std::is_same_v<decltype(value), bool>) {
+      w.Key(key).Bool(value);
+    } else {
+      w.Key(key).Number(value);
+    }
+  });
   w.Key("storage").BeginObject();
   w.Key("tuples").Number(storage.tuples);
   w.Key("bytes").Number(storage.bytes);

@@ -80,32 +80,26 @@ std::string FormatTime(const RunRecord& r, bool total) {
 }
 
 std::string FormatCacheStats(const RunRecord& r) {
+  const core::Engine::EngineStats& e = r.engine;
+  const auto u = [](uint64_t v) { return static_cast<unsigned long long>(v); };
   std::string out = StringPrintf(
       "Tq %lluh/%llur/%llum · strata %lluh/%llum · %llu tuples restored",
-      static_cast<unsigned long long>(r.program_cache_hits),
-      static_cast<unsigned long long>(r.program_cache_rebinds),
-      static_cast<unsigned long long>(r.program_cache_misses),
-      static_cast<unsigned long long>(r.stratum_memo_hits),
-      static_cast<unsigned long long>(r.stratum_memo_misses),
-      static_cast<unsigned long long>(r.tuples_restored));
-  if (r.parallel_rounds > 0) {
+      u(e.program_hits), u(e.program_rebinds), u(e.program_misses),
+      u(e.stratum_hits), u(e.stratum_misses), u(e.tuples_restored));
+  if (e.parallel_rounds > 0) {
     out += StringPrintf(
-        " · par %ur/%un · %llu merged ×%u · %llu contended",
-        r.parallel_rounds, r.naive_rounds_sharded,
-        static_cast<unsigned long long>(r.staged_tuples_merged),
-        r.merge_fanout_width,
-        static_cast<unsigned long long>(r.interning_contention));
+        " · par %llur/%llun · %llu merged ×%llu · %llu contended",
+        u(e.parallel_rounds), u(e.naive_rounds_sharded),
+        u(e.staged_tuples_merged), u(e.merge_fanout_width),
+        u(e.interning_contention));
   }
-  if (r.plans_computed > 0 || r.plan_cache_hits > 0) {
-    out += StringPrintf(
-        " · plan %lluc/%lluh q%.2g",
-        static_cast<unsigned long long>(r.plans_computed),
-        static_cast<unsigned long long>(r.plan_cache_hits),
-        r.plan_estimate_error);
+  if (e.plans_computed > 0 || e.plan_cache_hits > 0) {
+    out += StringPrintf(" · plan %lluc/%lluh q%.2g", u(e.plans_computed),
+                        u(e.plan_cache_hits), r.plan_estimate_error);
   }
-  if (r.tc_kernels_hit > 0) {
-    out += StringPrintf(" · tc %uk (%ud/%us)", r.tc_kernels_hit,
-                        r.tc_dense_frontiers, r.tc_sparse_frontiers);
+  if (e.tc_kernels_hit > 0) {
+    out += StringPrintf(" · tc %lluk (%llud/%llus)", u(e.tc_kernels_hit),
+                        u(e.tc_dense_frontiers), u(e.tc_sparse_frontiers));
   }
   return out;
 }

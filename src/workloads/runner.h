@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "core/engine.h"
 #include "eval/binding.h"
 #include "rdf/graph.h"
 #include "util/exec_context.h"
@@ -46,30 +47,9 @@ struct RunRecord {
   /// Warm re-execution time when Limits::warm_repeat is on; negative
   /// when not measured.
   double warm_exec_seconds = -1.0;
-  /// Engine cache counters for the run (SparqLog adapter only; zero for
-  /// the baseline systems, which have no translation pipeline to cache).
-  uint64_t program_cache_hits = 0;
-  uint64_t program_cache_rebinds = 0;
-  uint64_t program_cache_misses = 0;
-  uint64_t stratum_memo_hits = 0;
-  uint64_t stratum_memo_misses = 0;
-  uint64_t tuples_restored = 0;
-  /// Fixpoint-parallelism counters (SparqLog adapter only, from
-  /// Engine::stats(): zero for baselines and single-threaded runs).
-  uint32_t parallel_rounds = 0;
-  uint32_t naive_rounds_sharded = 0;
-  uint64_t staged_tuples_merged = 0;
-  uint32_t merge_fanout_width = 0;
-  uint64_t interning_contention = 0;
-  /// Transitive-closure kernel counters (SparqLog adapter only, from
-  /// Engine::stats(): zero for baselines and kernel-off runs).
-  uint32_t tc_kernels_hit = 0;
-  uint32_t tc_dense_frontiers = 0;
-  uint32_t tc_sparse_frontiers = 0;
-  /// Join-planner counters (SparqLog adapter only, from Engine::stats():
-  /// zero / 0.0 for baselines and planner-off runs).
-  uint64_t plans_computed = 0;
-  uint64_t plan_cache_hits = 0;
+  /// Engine counters after the run (SparqLog adapter only; zero for
+  /// the baseline systems, which have no translation pipeline).
+  core::Engine::EngineStats engine;
   /// q-error of the last planned execution's output-cardinality estimate
   /// (max(est/actual, actual/est); 1.0 = exact, 0.0 = not planned).
   double plan_estimate_error = 0.0;
@@ -124,7 +104,7 @@ class TablePrinter {
 /// failed runs (the paper's per-query tables, 9-11).
 std::string FormatTime(const RunRecord& r, bool total = false);
 
-/// One-line rendering of the cache counters carried in a RunRecord,
+/// One-line rendering of a RunRecord's engine counter snapshot,
 /// e.g. "Tq 1h/2r/1m · strata 8h/8m · 42 tuples restored"; when the run
 /// fanned out, the fixpoint-parallelism counters are appended, e.g.
 /// " · par 6r/1n · 120 merged ×4 · 0 contended"; when the join planner

@@ -74,23 +74,7 @@ class SparqLogSystem : public System {
       r.warm_exec_seconds = warm_watch.ElapsedSeconds();
       r.plan_estimate_error = warm->stats.plan_estimate_error;
     }
-    core::Engine::EngineStats es = engine.stats();
-    r.program_cache_hits = es.program_hits;
-    r.program_cache_rebinds = es.program_rebinds;
-    r.program_cache_misses = es.program_misses;
-    r.stratum_memo_hits = es.stratum_hits;
-    r.stratum_memo_misses = es.stratum_misses;
-    r.tuples_restored = es.tuples_restored;
-    r.parallel_rounds = es.parallel_rounds;
-    r.naive_rounds_sharded = es.naive_rounds_sharded;
-    r.staged_tuples_merged = es.staged_tuples_merged;
-    r.merge_fanout_width = es.merge_fanout_width;
-    r.interning_contention = es.interning_contention;
-    r.plans_computed = es.plans_computed;
-    r.plan_cache_hits = es.plan_cache_hits;
-    r.tc_kernels_hit = static_cast<uint32_t>(es.tc_kernels_hit);
-    r.tc_dense_frontiers = static_cast<uint32_t>(es.tc_dense_frontiers);
-    r.tc_sparse_frontiers = static_cast<uint32_t>(es.tc_sparse_frontiers);
+    r.engine = engine.stats();
     r.result = std::move(std::move(result).ValueOrDie().result);
     return r;
   }

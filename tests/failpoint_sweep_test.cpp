@@ -97,6 +97,15 @@ struct World {
     rdf::Triple present{Node(&dict, 0), Pred(&dict, "p"), Node(&dict, 1)};
     return engine->ApplyUpdate({fresh}, {present}, nullptr);
   }
+
+  /// Moves the dataset generation without changing its content (a triple
+  /// inserted and deleted again behind the engine's back), so the next
+  /// ApplyUpdate publishes through the full-rebuild path.
+  void BumpGeneration() {
+    rdf::Triple bump{Node(&dict, 0), Pred(&dict, "p"), Node(&dict, 0)};
+    dataset.default_graph().ApplyDelta({bump}, {});
+    dataset.default_graph().ApplyDelta({}, {bump});
+  }
 };
 
 /// Sends one raw HTTP request to 127.0.0.1:port and returns everything
@@ -228,12 +237,14 @@ TEST_F(FailpointSweepTest, EveryRegisteredSiteInjectsTypedStatusAndRecovers) {
                            }};
   }
   {
-    Engine::Options options;
-    options.update.incremental = false;
-    auto world = std::make_shared<World>(options);
+    auto world = std::make_shared<World>();
     drivers["engine.update.rebuild"] =
-        Driver{[world] { return world->Update(); },
+        Driver{[world] {
+                 world->BumpGeneration();
+                 return world->Update();
+               },
                [world] {
+                 world->BumpGeneration();
                  SPARQLOG_RETURN_NOT_OK(world->Update());
                  return world->Query();
                }};
@@ -336,7 +347,7 @@ TEST_P(UpdateRollbackTest, MidPublishFailureLeavesEngineBitIdentical) {
   struct Scenario {
     const char* site;
     const char* spec;
-    bool incremental;  // engine option; rebuild-path site needs false
+    bool incremental;  // false: bump the generation to reach the rebuild
   };
   const Scenario scenarios[] = {
       {"engine.update.net", "error(internal)", true},
@@ -356,7 +367,6 @@ TEST_P(UpdateRollbackTest, MidPublishFailureLeavesEngineBitIdentical) {
 
     Engine::Options options;
     options.parallelism.num_threads = threads;
-    options.update.incremental = scenario.incremental;
     World world(options);
     Engine& engine = *world.engine;
 
@@ -374,6 +384,7 @@ TEST_P(UpdateRollbackTest, MidPublishFailureLeavesEngineBitIdentical) {
                                             " ORDER BY ?x ?y");
     auto before = engine.ExecuteText(ordered);
     ASSERT_TRUE(before.ok());
+    if (!scenario.incremental) world.BumpGeneration();
     const uint64_t updates_before = engine.stats().updates;
     const uint64_t generation_before = world.dataset.Generation();
 

@@ -384,17 +384,21 @@ TEST(IncrementalUpdateTest, BudgetTripAfterUpdateLeavesEngineConsistent) {
   ExpectMatchesFreshLoad(&engine, dataset, &dict, options, "post-budget-trip");
 }
 
-// Disabling the incremental path must still publish updates correctly
-// (full-rebuild branch) and report them as non-incremental.
-TEST(IncrementalUpdateTest, FullRebuildFallbackWhenDisabled) {
+// A dataset mutated behind the engine's back (here: a triple inserted
+// and deleted again, so the content is unchanged but the generation
+// moved) must still publish updates correctly through the full-rebuild
+// branch and report them as non-incremental.
+TEST(IncrementalUpdateTest, FullRebuildFallbackOnGenerationMismatch) {
   rdf::TermDictionary dict;
   rdf::Dataset dataset(&dict);
   rdf::TermId p = Pred(&dict, "p");
   dataset.default_graph().Add(Node(&dict, 0), p, Node(&dict, 1));
   Engine::Options options;
-  options.update.incremental = false;
   Engine engine(&dataset, &dict, options);
   ASSERT_TRUE(engine.Load().ok());
+  const rdf::Triple bump{Node(&dict, 0), p, Node(&dict, 0)};
+  dataset.default_graph().ApplyDelta({bump}, {});
+  dataset.default_graph().ApplyDelta({}, {bump});
 
   Engine::UpdateStats us;
   ASSERT_TRUE(

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/engine.h"
@@ -258,6 +259,58 @@ TEST_F(ServerRoutingTest, StatsReportSkolemStoreGauge) {
             JsonCount(before.body, "skolem_bytes"));
   // storage.bytes stays the EDB footprint alone.
   EXPECT_EQ(JsonCount(after.body, "bytes"), engine_->edb_storage().bytes);
+}
+
+// The /stats contract the end-to-end benchmark reads: every counter key
+// it takes from /stats (and its EngineStats member of the same name),
+// plus the storage gauges, is present; every counter appears in list
+// order with the engine's own value.
+TEST_F(ServerRoutingTest, StatsKeysMatchEngineSnapshot) {
+  const std::string closure =
+      "PREFIX ex: <http://ex.org/> SELECT ?x ?y WHERE { ?x ex:p+ ?y }";
+  EXPECT_EQ(Post(closure).status, 200);
+  EXPECT_EQ(Post(closure).status, 200);  // memo hit
+  ASSERT_TRUE(engine_
+                  ->ApplyUpdate({{dict_.InternIri("http://ex.org/c"),
+                                  dict_.InternIri("http://ex.org/p"),
+                                  dict_.InternIri("http://ex.org/d")}},
+                                {})
+                  .ok());
+  EXPECT_EQ(Post(closure).status, 200);
+  const std::string body = Get("/stats").body;
+
+  for (const char* key :
+       {"queries", "program_hits", "program_rebinds", "program_misses",
+        "stratum_hits", "stratum_misses", "stratum_evictions",
+        "tuples_restored", "plans_computed", "rounds", "parallel_rounds",
+        "staged_tuples_merged", "tc_kernels_hit", "tc_dense_frontiers",
+        "tc_sparse_frontiers", "strata_incremental", "strata_dred",
+        "incremental_fallbacks", "tuples_overdeleted", "tuples_rederived",
+        "bytes", "skolem_terms", "skolem_bytes"}) {
+    EXPECT_NE(body.find("\"" + std::string(key) + "\":"), std::string::npos)
+        << key << " missing from " << body;
+  }
+
+  size_t pos = 0;
+  engine_->stats().ForEach([&](const char* key, auto value) {
+    const std::string field = "\"" + std::string(key) + "\":";
+    const size_t at = body.find(field, pos);
+    ASSERT_NE(at, std::string::npos) << key << " missing or out of order";
+    pos = at + field.size();
+    if constexpr (std::is_same_v<decltype(value), bool>) {
+      EXPECT_EQ(body.compare(pos, 4, "true") == 0, value) << key;
+    } else {
+      EXPECT_EQ(std::stoull(body.substr(pos)), value) << key;
+    }
+  });
+  EXPECT_GT(JsonCount(body, "queries"), 0u);
+  EXPECT_GT(JsonCount(body, "tc_kernels_hit"), 0u);
+  EXPECT_GT(JsonCount(body, "updates"), 0u);
+  EXPECT_EQ(JsonCount(body, "tuples"), engine_->edb_storage().tuples);
+  EXPECT_EQ(JsonCount(body, "bytes"), engine_->edb_storage().bytes);
+  EXPECT_EQ(JsonCount(body, "skolem_terms"), engine_->skolems()->size());
+  EXPECT_EQ(JsonCount(body, "skolem_bytes"),
+            engine_->skolems()->resident_bytes());
 }
 
 // --- Status -> HTTP mapping ------------------------------------------------

@@ -348,13 +348,13 @@ TEST(CacheDifferentialTest, SparqLogSystemWarmRepeatRecordsCacheHits) {
       Sp2bPrefixes() + "SELECT ?j WHERE { ?j rdf:type bench:Journal }");
   ASSERT_TRUE(r.ok()) << r.message;
   EXPECT_GE(r.warm_exec_seconds, 0.0);
-  EXPECT_EQ(r.program_cache_hits, 1u);
-  EXPECT_EQ(r.program_cache_misses, 1u);
-  EXPECT_GT(r.stratum_memo_hits, 0u);
-  EXPECT_GT(r.tuples_restored, 0u);
+  EXPECT_EQ(r.engine.program_hits, 1u);
+  EXPECT_EQ(r.engine.program_misses, 1u);
+  EXPECT_GT(r.engine.stratum_hits, 0u);
+  EXPECT_GT(r.engine.tuples_restored, 0u);
   // The cold run planned once; the warm repeat reused the cached plan.
-  EXPECT_EQ(r.plans_computed, 1u);
-  EXPECT_EQ(r.plan_cache_hits, 1u);
+  EXPECT_EQ(r.engine.plans_computed, 1u);
+  EXPECT_EQ(r.engine.plan_cache_hits, 1u);
   EXPECT_GE(r.plan_estimate_error, 1.0);
   std::string line = FormatCacheStats(r);
   EXPECT_NE(line.find("Tq 1h/0r/1m"), std::string::npos) << line;
@@ -363,29 +363,39 @@ TEST(CacheDifferentialTest, SparqLogSystemWarmRepeatRecordsCacheHits) {
 
 // The fixpoint-parallelism counters render only when a run actually
 // fanned out, so serial baselines keep the historical one-line format.
+// FormatCacheStats reads the run's embedded EngineStats snapshot.
 TEST(RunnerTest, FormatCacheStatsIncludesParallelCounters) {
   RunRecord r;
-  r.program_cache_hits = 1;
-  r.program_cache_misses = 1;
+  r.engine.program_hits = 1;
+  r.engine.program_misses = 1;
   std::string serial_line = FormatCacheStats(r);
+  EXPECT_NE(serial_line.find("Tq 1h/0r/1m"), std::string::npos)
+      << serial_line;
   EXPECT_EQ(serial_line.find("par "), std::string::npos) << serial_line;
-  r.parallel_rounds = 6;
-  r.naive_rounds_sharded = 1;
-  r.staged_tuples_merged = 120;
-  r.merge_fanout_width = 4;
-  r.interning_contention = 2;
+  r.engine.parallel_rounds = 6;
+  r.engine.naive_rounds_sharded = 1;
+  r.engine.staged_tuples_merged = 120;
+  r.engine.merge_fanout_width = 4;
+  r.engine.interning_contention = 2;
   std::string line = FormatCacheStats(r);
   EXPECT_NE(line.find("par 6r/1n"), std::string::npos) << line;
   EXPECT_NE(line.find("120 merged ×4"), std::string::npos) << line;
   EXPECT_NE(line.find("2 contended"), std::string::npos) << line;
   // Planner counters render only when the planner ran.
   EXPECT_EQ(line.find("plan "), std::string::npos) << line;
-  r.plans_computed = 2;
-  r.plan_cache_hits = 1;
+  r.engine.plans_computed = 2;
+  r.engine.plan_cache_hits = 1;
   r.plan_estimate_error = 1.5;
   std::string planned_line = FormatCacheStats(r);
   EXPECT_NE(planned_line.find("plan 2c/1h q1.5"), std::string::npos)
       << planned_line;
+  // TC-kernel counters render only when the kernel ran.
+  EXPECT_EQ(planned_line.find("tc "), std::string::npos) << planned_line;
+  r.engine.tc_kernels_hit = 3;
+  r.engine.tc_dense_frontiers = 1;
+  r.engine.tc_sparse_frontiers = 2;
+  std::string tc_line = FormatCacheStats(r);
+  EXPECT_NE(tc_line.find("tc 3k (1d/2s)"), std::string::npos) << tc_line;
 }
 
 TEST(RunnerTest, OutcomeClassification) {
