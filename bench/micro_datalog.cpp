@@ -133,11 +133,12 @@ BENCHMARK(BM_TransitiveClosure_Parallel)
 
 // --- Barrier-merge microbenchmark ------------------------------------------
 // The round-barrier merge in isolation: W=4 workers' staging stores for P
-// predicates, merged into fresh relations either serially
-// (worker-then-predicate, the pre-fan-out path) or with the per-predicate
-// fan-out (MergeStagedParallel on a 4-worker pool). Arenas are
-// bit-identical either way; on a multi-core host the fan-out row should
-// beat the serial row once P > 1. The arg is P.
+// predicates, merged into fresh relations either by a serial
+// worker-then-predicate InsertStaged loop (the baseline, kept here only)
+// or with the engine's per-predicate fan-out (MergeStagedParallel on a
+// 4-worker pool). Arenas are bit-identical either way; on a multi-core
+// host the fan-out row should beat the serial row once P > 1. The arg
+// is P.
 
 struct BarrierMergeFixture {
   static constexpr size_t kWorkers = 4;
@@ -203,10 +204,8 @@ void BM_BarrierMerge_Fanout(benchmark::State& state) {
       tasks.push_back(std::move(task));
     }
     ExecContext ctx;
-    uint32_t phases[BarrierMergeFixture::kWorkers] = {0, 0, 0, 0};
     uint32_t fanout = 0;
-    auto merged =
-        datalog::MergeStagedParallel(&tasks, 1, &pool, &ctx, phases, &fanout);
+    auto merged = datalog::MergeStagedParallel(&tasks, 1, &pool, &ctx, &fanout);
     if (!merged.ok()) {
       state.SkipWithError(merged.status().ToString().c_str());
       break;
@@ -396,11 +395,12 @@ void BM_TupleStoreProbe(benchmark::State& state) {
   for (const auto& t : tuples) rel.Insert(t.data(), 0);
   const std::vector<uint32_t> cols = {0};
   std::vector<datalog::Value> key(1);
-  rel.Probe(cols, key);  // build the index outside the timed loop
+  datalog::MatchSpan span;
+  rel.Probe(cols, key, &span);  // build the index outside the timed loop
   uint64_t i = 0;
   for (auto _ : state) {
     key[0] = tuples[i % tuples.size()][0];
-    datalog::MatchSpan span = rel.Probe(cols, key);
+    rel.Probe(cols, key, &span);
     uint64_t sum = 0;
     for (uint32_t k = 0; k < span.size(); ++k) sum += span[k];
     benchmark::DoNotOptimize(sum);

@@ -62,20 +62,24 @@ Status Engine::Load() {
       generation == loaded_generation_) {
     return Status::OK();  // idempotent
   }
-  // Cold EDB build into a scratch database: bulk-load by default —
-  // per-relation batches deduped in one pass against a one-shot-sized
-  // table — instead of tuple-at-a-time inserts. Building off to the side
-  // makes a failed (re)Load harmless: the previous snapshot, if any,
-  // keeps serving and nothing below this point has been touched.
+  // Cold EDB build into a scratch database, bulk-loaded — per-relation
+  // batches deduped in one pass against a one-shot-sized table. Building
+  // off to the side makes a failed (re)Load harmless: the previous
+  // snapshot, if any, keeps serving and nothing below this point has
+  // been touched.
   datalog::Database fresh;
-  SPARQLOG_RETURN_NOT_OK(
-      DataTranslator::Translate(*dataset_, dict_, &fresh, options_.edb_build));
+  SPARQLOG_RETURN_NOT_OK(DataTranslator::Translate(*dataset_, dict_, &fresh));
   SPARQLOG_FAILPOINT(g_fp_load_publish);
+  PublishEdb(std::move(fresh), generation);
+  return Status::OK();
+}
+
+void Engine::PublishEdb(datalog::Database fresh, uint64_t generation) {
   if (loaded_.load(std::memory_order_relaxed)) {
-    // Re-Load over a mutated dataset: the materialized EDB and every
-    // memoized stratum result derived from it are stale. In-flight
-    // queries finished before we got the exclusive lock; they saw the
-    // previous snapshot consistently.
+    // Republish over a mutated dataset: every memoized stratum result
+    // derived from the previous EDB is stale. In-flight queries finished
+    // before the caller got the exclusive lock; they saw the previous
+    // snapshot consistently.
     stratum_memo_.Clear();
     Bump(&counters_.invalidations);
   }
@@ -99,10 +103,9 @@ Status Engine::Load() {
     EdbPredicates preds = InternEdbPredicates(&scratch);
     edb_stats_ = datalog::EdbStats();
     edb_stats_.Collect(edb_, preds.triple);
-    edb_stats_.set_generation(loaded_generation_);
+    edb_stats_.set_generation(generation);
   }
   loaded_.store(true, std::memory_order_release);
-  return Status::OK();
 }
 
 void Engine::BuildOccurrenceCounters() {
@@ -190,9 +193,6 @@ Status Engine::ApplyUpdate(const std::vector<rdf::Triple>& inserts,
   // no longer matches the EDB we would delta against: publish via the
   // full rebuild.
   const bool incremental = dataset_->Generation() == loaded_generation_;
-  datalog::PredicateTable scratch;
-  EdbPredicates preds = InternEdbPredicates(&scratch);
-
   if (!incremental) {
     // The translator reads the dataset, so the graph must mutate first;
     // a failed rebuild un-applies the delta, putting the graph's content
@@ -203,36 +203,19 @@ Status Engine::ApplyUpdate(const std::vector<rdf::Triple>& inserts,
     graph.ApplyDelta(net_ins, net_del);
     datalog::Database fresh;
     Status st = g_fp_update_rebuild.Check();
-    if (st.ok()) {
-      st = DataTranslator::Translate(*dataset_, dict_, &fresh,
-                                     options_.edb_build);
-    }
+    if (st.ok()) st = DataTranslator::Translate(*dataset_, dict_, &fresh);
     if (!st.ok()) {
       graph.ApplyDelta(net_del, net_ins);
       return finish(st);
     }
-    edb_ = std::move(fresh);
-    stratum_memo_.Clear();
-    Bump(&counters_.invalidations);
-    loaded_generation_ = dataset_->Generation();
-    edb_base_fp_ = loaded_generation_;
-    edb_versions_.clear();
-    edb_prev_versions_.clear();
-    pending_delta_.reset();
-    occ_built_ = false;
-    term_occ_.clear();
-    so_occ_.clear();
-    delta_since_stats_ = 0;
-    if (options_.planner.join_planner) {
-      edb_stats_ = datalog::EdbStats();
-      edb_stats_.Collect(edb_, preds.triple);
-      edb_stats_.set_generation(loaded_generation_);
-    }
+    PublishEdb(std::move(fresh), dataset_->Generation());
     return finish(Status::OK());
   }
 
   // ---- Incremental publish -------------------------------------------
   us.incremental = true;
+  datalog::PredicateTable scratch;
+  EdbPredicates preds = InternEdbPredicates(&scratch);
   if (!occ_built_) {
     BuildOccurrenceCounters();
     occ_built_ = true;
@@ -696,8 +679,8 @@ Result<Engine::Execution> Engine::Execute(const sparql::Query& query,
     if (!query.from.empty() || !query.from_named.empty()) {
       rdf::Dataset scoped = dataset_->WithClauses(query.from, query.from_named);
       datalog::Database scoped_edb;
-      SPARQLOG_RETURN_NOT_OK(DataTranslator::Translate(
-          scoped, dict_, &scoped_edb, options_.edb_build));
+      SPARQLOG_RETURN_NOT_OK(
+          DataTranslator::Translate(scoped, dict_, &scoped_edb));
       datalog::EdbStats scoped_stats;
       if (options_.planner.join_planner) {
         datalog::PredicateTable scratch;
@@ -766,7 +749,6 @@ Result<Engine::Execution> Engine::ExecuteInternal(
   datalog::Database idb;
   datalog::Evaluator evaluator(dict_, &skolems_);
   evaluator.set_num_threads(options_.parallelism.num_threads);
-  evaluator.set_parallel_merge(options_.parallelism.parallel_merge);
   evaluator.set_tc_kernel(options_.fixpoint.tc_kernel);
   // Degraded mode bypasses the stratum memo entirely: no lookups (the
   // memo was just shed) and — more importantly — no new snapshots taken

@@ -64,11 +64,6 @@ class Engine {
     /// Default per-query materialized-tuple budget ("mem-out"); zero =
     /// unlimited. A per-call QueryLimits::tuple_budget overrides it.
     uint64_t tuple_budget = 0;
-    /// EDB materialization strategy for Load(): kBulkLoad (default)
-    /// batches per EDB predicate and dedup-builds in one pass;
-    /// kPerTupleInsert is the tuple-at-a-time reference path the
-    /// differential tests compare against. Bit-identical EDBs either way.
-    EdbBuild edb_build = EdbBuild::kBulkLoad;
 
     /// Fixpoint parallelism knobs (datalog/evaluator.h).
     struct Parallelism {
@@ -77,9 +72,6 @@ class Engine {
       /// 1 runs the exact single-threaded semi-naive path. Thread count
       /// never changes query results, only evaluation parallelism.
       uint32_t num_threads = 0;
-      /// Fans the parallel round-barrier merge out per target predicate
-      /// (bit-identical to the serial merge). Off = serial merge.
-      bool parallel_merge = true;
     };
 
     /// Cross-query caching knobs (core/program_cache.h,
@@ -393,6 +385,12 @@ class Engine {
   /// Rebuilds the occurrence counters (`term_occ_`, `so_occ_`) from the
   /// whole dataset; called lazily by the first incremental ApplyUpdate.
   void BuildOccurrenceCounters();
+  /// Publishes a freshly translated EDB of dataset `generation` (the
+  /// tail of Load() and of ApplyUpdate's full rebuild): drops the
+  /// memoized strata of a previous EDB, re-anchors the incremental-update
+  /// state and recollects the planner statistics. Caller holds the
+  /// exclusive state lock.
+  void PublishEdb(datalog::Database fresh, uint64_t generation);
 
   const rdf::Dataset* dataset_;
   /// Non-null only for mutable-dataset engines; aliases `dataset_`.

@@ -25,7 +25,6 @@ constexpr uint32_t kNoDelta = 0xffffffffu;
 struct WorkerState {
   std::unordered_map<PredicateId, TupleStore> staging;
   uint64_t staged = 0;
-  uint32_t clock_phase = 0;
   Status status;
 };
 
@@ -57,7 +56,6 @@ struct Evaluator::RuleRun {
   TupleStore* staging = nullptr;
   const Relation* staging_target = nullptr;
   uint64_t* staged = nullptr;
-  uint32_t clock_phase = 0;  // worker-local deadline-check pacing
   // Incremental maintenance (serial paths only; see the incremental
   // stratum block in Evaluate): `delta_source` redirects the pinned
   // delta scan away from the IDB (to a scratch database of input
@@ -349,11 +347,11 @@ struct Evaluator::RuleRun {
         // DRed re-derivation asks for one witness of the pre-bound head
         // tuple; it exists now, so abort the join early. The false
         // return unwinds the search with an OK status.
-        status = ctx->CheckBudgetShared(&clock_phase);
+        status = ctx->CheckBudget();
         return false;
       }
     }
-    status = ctx->CheckBudgetShared(&clock_phase);
+    status = ctx->CheckBudget();
     return status.ok();
   }
 
@@ -393,7 +391,7 @@ struct Evaluator::RuleRun {
 
   /// Returns false on fatal error.
   bool JoinStep(size_t depth) {
-    status = ctx->CheckBudgetShared(&clock_phase);
+    status = ctx->CheckBudget();
     if (!status.ok()) return false;
 
     size_t btrail_start = trail.size();
@@ -479,18 +477,11 @@ struct Evaluator::RuleRun {
         // MatchSpan is epoch-stable: recursive rules may insert into this
         // relation (and its index buckets) while we iterate, and the span
         // keeps addressing the probe-time prefix without a defensive
-        // copy. Parallel workers use the thread-safe TryProbe (relations
-        // are read-only until the barrier, but a missing index must be
-        // built and published race-free); it only fails past the
-        // published-index capacity, where the filtered scan below is the
-        // fallback.
+        // copy. The probe is thread-safe (parallel workers may race to
+        // build a missing index); it only fails past the published-index
+        // capacity, where the filtered scan below is the fallback.
         MatchSpan span;
-        if (staging != nullptr) {
-          indexed = rel->TryProbe(cols, key, &span);
-        } else {
-          span = rel->Probe(cols, key);
-          indexed = true;
-        }
+        indexed = rel->Probe(cols, key, &span);
         if (indexed) {
           for (uint32_t k = 0; k < span.size(); ++k) {
             if (!TryRow(rel, span[k], depth)) return false;
@@ -593,7 +584,6 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
   SPARQLOG_RETURN_NOT_OK(ctx->CheckBudget());
 
   uint32_t round = 1;
-  uint32_t serial_clock_phase = 0;  // spans all serial rule runs
   for (uint32_t s = 0; s < strat.num_strata; ++s) {
     const std::vector<uint32_t>& rule_ids = strat.strata_rules[s];
     if (rule_ids.empty()) continue;
@@ -879,10 +869,7 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
               run.delta_source = &aux_del;
               run.aux = &aux_del;
               run.emit_db = &aux_del;
-              run.clock_phase = serial_clock_phase;
-              Status st = run.Run();
-              serial_clock_phase = run.clock_phase;
-              SPARQLOG_RETURN_NOT_OK(st);
+              SPARQLOG_RETURN_NOT_OK(run.Run());
               if (run.inserted > 0) progress = true;
               overdeleted += run.inserted;
             }
@@ -959,10 +946,7 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
               run.ctx = ctx;
               run.insert_round = derive_round;
               run.head_binding = dt.row.data();
-              run.clock_phase = serial_clock_phase;
-              Status st = run.Run();
-              serial_clock_phase = run.clock_phase;
-              SPARQLOG_RETURN_NOT_OK(st);
+              SPARQLOG_RETURN_NOT_OK(run.Run());
               if (run.inserted > 0) {
                 found = true;
                 inc_new += run.inserted;
@@ -1001,10 +985,7 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
           run.delta_round = 0;
           run.delta_atom = ai;
           run.delta_source = &aux_ins;
-          run.clock_phase = serial_clock_phase;
-          Status st = run.Run();
-          serial_clock_phase = run.clock_phase;
-          SPARQLOG_RETURN_NOT_OK(st);
+          SPARQLOG_RETURN_NOT_OK(run.Run());
           inc_new += run.inserted;
         }
       }
@@ -1029,12 +1010,7 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
       run.insert_round = round;
       run.delta_round = delta_round;
       run.delta_atom = delta_atom;
-      // The clock-stride phase persists across invocations (like the
-      // pre-parallelism ctx-owned counter): many short rule runs must
-      // still reach the every-256th-check deadline sample.
-      run.clock_phase = serial_clock_phase;
       Status st = run.Run();
-      serial_clock_phase = run.clock_phase;
       stats_.tuples_derived += run.inserted;
       SPARQLOG_RETURN_NOT_OK(st);
       return run.inserted;
@@ -1048,8 +1024,6 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
     const bool shard_stratum = parallel_ok && recursive;
 
     std::vector<WorkerState> workers;
-    std::vector<uint32_t> merge_phases;      // per merge worker, persists
-    std::vector<PredicateId> par_heads;      // sorted, deterministic merge
     std::vector<StagedMergeTask> merge_tasks;  // one per head predicate
     if (shard_stratum) {
       if (pool_ == nullptr || pool_->num_workers() != threads) {
@@ -1059,7 +1033,7 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
       // workers never mutate the Database map; empty relations are
       // invisible to dumps and solutions) and per-worker staging stores.
       workers.resize(threads);
-      merge_phases.assign(threads, 0);
+      std::vector<PredicateId> par_heads;  // sorted, deterministic merge
       for (uint32_t ri : rule_ids) {
         const Atom& head = program.rules[ri].head;
         uint32_t arity = static_cast<uint32_t>(head.args.size());
@@ -1087,12 +1061,10 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
 
     // One sharded scan over `tasks` (each task pins a rule, its scan
     // atom, and a frozen relation row range), then the round-barrier
-    // merge — per-predicate fan-out by default, the serial
-    // worker-then-predicate loop as reference. Merge order within each
-    // predicate is worker order either way, so a relation's arena is
-    // bit-identical across merge modes and deterministic for a fixed
-    // thread count; across thread counts only arena row ids change,
-    // never set semantics.
+    // merge, fanned out per predicate. Merge order within each predicate
+    // is worker order, so a relation's arena is deterministic for a
+    // fixed thread count; across thread counts only arena row ids
+    // change, never set semantics.
     struct ScanTask {
       uint32_t rule;
       uint32_t atom;
@@ -1135,7 +1107,6 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
           run.staging = &ws.staging.at(rule.head.predicate);
           run.staging_target = idb->Find(rule.head.predicate);
           run.staged = &ws.staged;
-          run.clock_phase = ws.clock_phase;
           for (uint32_t b = static_cast<uint32_t>(w); b < num_blocks;
                b += num_workers) {
             run.shard_lo = tr.lo + b * block;
@@ -1143,37 +1114,20 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
             Status st = run.Run();
             if (!st.ok()) {
               ws.status = st;
-              ws.clock_phase = run.clock_phase;
               return;
             }
           }
-          ws.clock_phase = run.clock_phase;
         }
       });
       for (WorkerState& ws : workers) SPARQLOG_RETURN_NOT_OK(ws.status);
 
       // Round barrier: merge the staging buffers into the target
       // relations.
-      uint64_t merged = 0;
-      if (parallel_merge_) {
-        uint32_t fanout = 0;
-        SPARQLOG_ASSIGN_OR_RETURN(
-            merged, MergeStagedParallel(&merge_tasks, round, pool_.get(),
-                                        ctx, merge_phases.data(), &fanout));
-        stats_.merge_fanout_width =
-            std::max(stats_.merge_fanout_width, fanout);
-      } else {
-        // Serial reference merge, single-writer in worker-then-predicate
-        // order (the BM_BarrierMerge baseline).
-        for (WorkerState& ws : workers) {
-          for (PredicateId pred : par_heads) {
-            TupleStore& store = ws.staging.at(pred);
-            if (store.size() == 0) continue;
-            merged += idb->FindMutable(pred)->InsertStaged(store, round);
-          }
-        }
-        ctx->AddTuples(merged);
-      }
+      uint32_t fanout = 0;
+      SPARQLOG_ASSIGN_OR_RETURN(
+          uint64_t merged, MergeStagedParallel(&merge_tasks, round,
+                                               pool_.get(), ctx, &fanout));
+      stats_.merge_fanout_width = std::max(stats_.merge_fanout_width, fanout);
       stats_.tuples_derived += merged;
       stats_.staged_tuples_merged += merged;
       SPARQLOG_RETURN_NOT_OK(ctx->CheckBudget());
@@ -1284,7 +1238,6 @@ Status Evaluator::Evaluate(const Program& program, Database* edb,
       SPARQLOG_ASSIGN_OR_RETURN(
           TcKernelStats kstats,
           RunTcKernel(*tc, program, edb, idb, round, ctx,
-                      &serial_clock_phase,
                       shard_stratum ? pool_.get() : nullptr));
       ++stats_.tc_kernels_hit;
       if (kstats.dense) {

@@ -76,11 +76,6 @@ class Evaluator {
   /// non-recursive strata always run serially.
   void set_num_threads(uint32_t n) { num_threads_ = n; }
 
-  /// Fans the round-barrier merge out per target predicate (default on).
-  /// Off = the serial worker-then-predicate merge, kept as the
-  /// BM_BarrierMerge baseline and a safety valve.
-  void set_parallel_merge(bool on) { parallel_merge_ = on; }
-
   /// Runs TC-shaped recursive strata (one linear closure rule — the
   /// shape every recursive property path translates to) through the
   /// dedicated transitive-closure kernel instead of the generic delta
@@ -134,7 +129,6 @@ class Evaluator {
   SkolemStore* skolems_;
   FixpointMode mode_ = FixpointMode::kSemiNaive;
   uint32_t num_threads_ = 1;
-  bool parallel_merge_ = true;
   bool tc_kernel_ = true;
   StratumMemo* memo_ = nullptr;
   uint64_t dataset_fp_ = 0;

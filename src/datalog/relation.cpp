@@ -356,8 +356,7 @@ uint32_t Relation::BulkLoad(const Value* rows, size_t num_rows,
   // Bulk loads must be the relation's first mutation: the arena must be
   // empty and no index may exist yet (it would not see the loaded rows).
   assert(size() == 0);
-  assert(num_indexes_.load(std::memory_order_relaxed) == 0 &&
-         overflow_indexes_.empty());
+  assert(num_indexes_.load(std::memory_order_relaxed) == 0);
   uint32_t loaded = store_.BulkLoad(rows, num_rows);
   if (loaded > 0) round_marks_.emplace_back(round, 0);
   return loaded;
@@ -488,7 +487,6 @@ size_t Relation::RemoveRows(const Value* rows, size_t num_rows,
   if (keep > 0) round_marks_.emplace_back(0u, 0u);
   for (auto& index : indexes_) index.reset();
   num_indexes_.store(0, std::memory_order_release);
-  overflow_indexes_.clear();
   return removed;
 }
 
@@ -522,7 +520,6 @@ void Relation::RestoreRemoved(const RemovalUndo& undo) {
   round_marks_ = undo.round_marks;
   for (auto& index : indexes_) index.reset();
   num_indexes_.store(0, std::memory_order_release);
-  overflow_indexes_.clear();
 }
 
 void Relation::TruncateTo(uint32_t keep_rows) {
@@ -536,7 +533,6 @@ void Relation::TruncateTo(uint32_t keep_rows) {
   }
   for (auto& index : indexes_) index.reset();
   num_indexes_.store(0, std::memory_order_release);
-  overflow_indexes_.clear();
 }
 
 uint32_t Relation::row_round(uint32_t id) const {
@@ -568,8 +564,8 @@ Relation::Index* Relation::FindPublishedIndex(
   return nullptr;
 }
 
-bool Relation::TryProbe(const std::vector<uint32_t>& cols,
-                        const std::vector<Value>& key, MatchSpan* out) {
+bool Relation::Probe(const std::vector<uint32_t>& cols,
+                     const std::vector<Value>& key, MatchSpan* out) {
   Index* index = FindPublishedIndex(cols);
   if (index == nullptr) {
     std::lock_guard<std::mutex> lock(index_build_mu_);
@@ -592,37 +588,11 @@ bool Relation::TryProbe(const std::vector<uint32_t>& cols,
   return true;
 }
 
-MatchSpan Relation::Probe(const std::vector<uint32_t>& cols,
-                          const std::vector<Value>& key) {
-  MatchSpan out;
-  if (TryProbe(cols, key, &out)) return out;
-  // Published capacity exhausted: spill into the unpublished overflow
-  // list. Correct but single-writer only; parallel workers never reach
-  // this path (they use TryProbe and scan on failure).
-  Index* index = nullptr;
-  for (auto& candidate : overflow_indexes_) {
-    if (candidate->cols == cols) {
-      index = candidate.get();
-      break;
-    }
-  }
-  if (index == nullptr) {
-    overflow_indexes_.push_back(std::make_unique<Index>());
-    index = overflow_indexes_.back().get();
-    index->cols = cols;
-    for (uint32_t id = 0; id < store_.size(); ++id) index->Add(store_, id);
-  }
-  const std::vector<uint32_t>* bucket = index->Find(store_, key.data());
-  if (bucket == nullptr) return MatchSpan();
-  return MatchSpan(bucket, static_cast<uint32_t>(bucket->size()));
-}
-
 size_t Relation::bytes() const {
   size_t n = store_.bytes() +
              round_marks_.capacity() * sizeof(round_marks_[0]);
   uint32_t published = num_indexes_.load(std::memory_order_acquire);
   for (uint32_t i = 0; i < published; ++i) n += indexes_[i]->bytes();
-  for (const auto& index : overflow_indexes_) n += index->bytes();
   return n;
 }
 
@@ -630,7 +600,7 @@ size_t Relation::bytes() const {
 
 Result<uint64_t> MergeStagedParallel(std::vector<StagedMergeTask>* tasks,
                                      uint32_t round, ThreadPool* pool,
-                                     ExecContext* ctx, uint32_t* merge_phases,
+                                     ExecContext* ctx,
                                      uint32_t* fanout_width) {
   SPARQLOG_FAILPOINT(g_fp_merge_round);
   // Only predicates with staged rows occupy a merge slot; an all-empty
@@ -650,9 +620,9 @@ Result<uint64_t> MergeStagedParallel(std::vector<StagedMergeTask>* tasks,
   if (live.empty()) return uint64_t{0};
 
   // One worker owns each live predicate end to end: it merges the
-  // predicate's staging stores in worker order, which reproduces the
-  // serial merge's first-occurrence order (and thus arena row ids)
-  // exactly — parallelism across predicates, determinism within each.
+  // predicate's staging stores in worker order, so first-occurrence order
+  // (and thus arena row ids) is fixed by the thread count alone —
+  // parallelism across predicates, determinism within each.
   std::vector<Status> statuses(num_workers);
   auto merge_worker = [&](size_t w) {
     Status& st = statuses[w];
@@ -663,8 +633,7 @@ Result<uint64_t> MergeStagedParallel(std::vector<StagedMergeTask>* tasks,
         uint64_t inserted = task.target->InsertStaged(*s, round);
         task.merged += inserted;
         ctx->AddTuples(inserted);
-        st = ctx->CheckBudgetShared(&merge_phases[w],
-                                    static_cast<uint32_t>(s->size()));
+        st = ctx->CheckBudget(static_cast<uint32_t>(s->size()));
         if (!st.ok()) return;
       }
     }

@@ -290,22 +290,18 @@ class Relation {
     return store_.Contains(row.data());
   }
 
-  /// Row ids whose values at `cols` equal `key`; builds the index on first
-  /// use. `cols` must be sorted ascending. Returns an empty span when no
-  /// row matches. The span stays valid while rows are inserted (see
-  /// MatchSpan). Single-writer like Insert: not safe against concurrent
-  /// calls (use TryProbe from parallel workers).
-  MatchSpan Probe(const std::vector<uint32_t>& cols,
-                  const std::vector<Value>& key);
-
-  /// Thread-safe probe for parallel evaluation: like Probe, but fails
-  /// (returns false) instead of building past the fixed published-index
-  /// capacity, in which case the caller must fall back to a filtered
-  /// scan. Safe to call concurrently with other TryProbe / Contains / row
-  /// reads — indexes are built under a mutex and published with a
-  /// release-store of the index count — but NOT concurrently with Insert.
-  bool TryProbe(const std::vector<uint32_t>& cols,
-                const std::vector<Value>& key, MatchSpan* out);
+  /// Row ids whose values at `cols` equal `key`, through the hash index
+  /// on `cols`, which is built on first use. `cols` must be sorted
+  /// ascending. Sets `*out` (an empty span when no row matches) and
+  /// returns true; returns false without touching `*out` when the index
+  /// is missing and the fixed published-index capacity is used up, in
+  /// which case the caller scans. The span stays valid while rows are
+  /// inserted (see MatchSpan). Safe to call concurrently with other
+  /// Probe / Contains / row reads — indexes are built under a mutex and
+  /// published with a release-store of the index count — but NOT
+  /// concurrently with Insert.
+  bool Probe(const std::vector<uint32_t>& cols, const std::vector<Value>& key,
+             MatchSpan* out);
 
   /// Bulk-merges `num_rows` staged tuples (flat TupleStore layout, arity()
   /// stride) tagged with `round`, deduplicating against existing contents.
@@ -393,6 +389,9 @@ class Relation {
   /// Approximate memory footprint (arena + dedup + indexes), for stats.
   size_t bytes() const;
 
+  /// Distinct column subsets a relation indexes; Probe fails past it.
+  static constexpr size_t kMaxPublishedIndexes = 64;
+
  private:
   /// Hash index over a column subset. Open-addressing table mapping the
   /// projected key (values of `cols`) to an append-only bucket of row ids.
@@ -429,12 +428,11 @@ class Relation {
   /// Looks up a published index by column subset; lock-free (acquire-load
   /// of the published count, entries below it are fully built).
   Index* FindPublishedIndex(const std::vector<uint32_t>& cols) const;
-  /// All indexes, published then overflow, for Insert maintenance.
+  /// All published indexes, for Insert maintenance.
   template <typename Fn>
   void ForEachIndex(Fn&& fn) {
     uint32_t n = num_indexes_.load(std::memory_order_acquire);
     for (uint32_t i = 0; i < n; ++i) fn(*indexes_[i]);
-    for (auto& index : overflow_indexes_) fn(*index);
   }
 
   TupleStore store_;
@@ -447,44 +445,39 @@ class Relation {
   // stores its pointer, then release-increments `num_indexes_`, so
   // lock-free readers that acquire-load the count only ever see complete
   // indexes. Few distinct column subsets are ever probed per predicate
-  // (one per rule-atom binding pattern), so the capacity is generous; the
-  // single-threaded Probe path spills past it into `overflow_indexes_`,
-  // while the thread-safe TryProbe reports failure and callers scan.
-  static constexpr size_t kMaxPublishedIndexes = 64;
+  // (one per rule-atom binding pattern), so the capacity is generous;
+  // past it Probe reports failure and callers scan.
   std::array<std::unique_ptr<Index>, kMaxPublishedIndexes> indexes_;
   std::atomic<uint32_t> num_indexes_{0};
-  std::vector<std::unique_ptr<Index>> overflow_indexes_;
   std::mutex index_build_mu_;
 };
 
-/// One per-predicate unit of the parallel round-barrier merge: a target
-/// relation plus every worker's staging store for that predicate, in
-/// worker order (the order the serial merge visits them).
+/// One per-predicate unit of the round-barrier merge: a target relation
+/// plus every worker's staging store for that predicate, in worker order.
 struct StagedMergeTask {
   Relation* target = nullptr;
   std::vector<const TupleStore*> sources;  // worker order; empties allowed
   uint64_t merged = 0;                     // out: tuples inserted
 };
 
-/// Fans the round-barrier merge out **per target predicate**: each task
-/// (one predicate) is handled by exactly one merge worker, which merges
-/// that predicate's staging stores in worker order — so every relation's
-/// arena ends up bit-identical to the serial worker-then-predicate merge,
-/// while distinct predicates merge concurrently (disjoint relations, no
-/// shared mutable state). Tasks with no staged rows are skipped; the rest
-/// are dealt round-robin across the pool.
+/// The round-barrier merge, fanned out **per target predicate**: each
+/// task (one predicate) is handled by exactly one merge worker, which
+/// merges that predicate's staging stores in worker order — so every
+/// relation's arena is deterministic for a fixed thread count, while
+/// distinct predicates merge concurrently (disjoint relations, no shared
+/// mutable state). Tasks with no staged rows are skipped; the rest are
+/// dealt round-robin across the pool, and a single live task merges
+/// inline on the calling thread.
 ///
-/// `merge_phases` must point at `pool->num_workers()` stride-phase
-/// counters that persist across rounds: each merge worker charges the
-/// merged tuples to `ctx` per batch and budget-checks with the batch size
-/// as stride advance, so deadline sampling stays proportional to tuples
-/// merged regardless of fan-out width (see ExecContext::CheckBudgetShared).
-/// `*fanout_width` is set to the number of workers that received a task.
-/// Returns the total tuples inserted, or the first failing worker's
-/// budget status.
+/// Each merge worker charges the merged tuples to `ctx` per batch and
+/// budget-checks with the batch size as stride advance, so deadline
+/// sampling stays proportional to tuples merged regardless of fan-out
+/// width (see ExecContext::CheckBudget). `*fanout_width` is set to the
+/// number of workers that received a task. Returns the total tuples
+/// inserted, or the first failing worker's budget status.
 Result<uint64_t> MergeStagedParallel(std::vector<StagedMergeTask>* tasks,
                                      uint32_t round, ThreadPool* pool,
-                                     ExecContext* ctx, uint32_t* merge_phases,
+                                     ExecContext* ctx,
                                      uint32_t* fanout_width);
 
 /// Named relation store shared by EDB facts and derived IDB tuples.

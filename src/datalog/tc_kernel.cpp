@@ -73,7 +73,7 @@ struct GroupScratch {
         seed_set(dense ? n : 0) {}
 };
 
-/// Seed-membership filter shared by the serial and parallel emit paths.
+/// Seed-membership filter of the group-closing emit path.
 /// An endpoint emitted for carry group `c` is already present in the
 /// target relation **iff** it is one of `c`'s seeds: detection fixes
 /// every non-carry / non-join head column to a shape constant, so a
@@ -356,8 +356,7 @@ std::optional<TcShape> DetectTcShape(
 Result<TcKernelStats> RunTcKernel(const TcShape& shape,
                                   const Program& program, Database* edb,
                                   Database* idb, uint32_t insert_round,
-                                  ExecContext* ctx, uint32_t* clock_phase,
-                                  ThreadPool* pool) {
+                                  ExecContext* ctx, ThreadPool* pool) {
   TcKernelStats out;
   const Rule& rule = program.rules[shape.rule_index];
   const Atom& edge_atom = rule.positive[shape.edge_atom];
@@ -384,7 +383,7 @@ Result<TcKernelStats> RunTcKernel(const TcShape& shape,
     const uint32_t n = static_cast<uint32_t>(rel->size());
     edges.reserve(edges.size() + n);
     for (uint32_t id = 0; id < n; ++id) {
-      SPARQLOG_RETURN_NOT_OK(ctx->CheckBudgetShared(clock_phase));
+      SPARQLOG_RETURN_NOT_OK(ctx->CheckBudget());
       RowRef row = rel->row(id);
       bool match = true;
       for (const auto& [col, v] : shape.edge_consts) {
@@ -412,7 +411,7 @@ Result<TcKernelStats> RunTcKernel(const TcShape& shape,
   std::unordered_map<Value, std::vector<uint32_t>> group_map;
   const uint32_t base_rows = static_cast<uint32_t>(target->size());
   for (uint32_t id = 0; id < base_rows; ++id) {
-    SPARQLOG_RETURN_NOT_OK(ctx->CheckBudgetShared(clock_phase));
+    SPARQLOG_RETURN_NOT_OK(ctx->CheckBudget());
     RowRef row = target->row(id);
     bool match = true;
     for (const auto& [col, v] : shape.rec_consts) {
@@ -458,81 +457,26 @@ Result<TcKernelStats> RunTcKernel(const TcShape& shape,
   for (const auto& [carry, seeds] : groups) total_seeds += seeds.size();
   out.dense = num_nodes < 4096 || total_seeds * 64 >= num_nodes;
 
+  // Carry groups are disjoint by construction (every emitted row embeds
+  // its group's carry value), so dealing them across workers cannot stage
+  // the same row twice, and the per-group seed filter makes each worker's
+  // staging buffer globally distinct with no reads of `target` at all.
+  // New rows are staged flat and batch-appended after the region barrier,
+  // in worker order: the dedup proves every staged row distinct, so the
+  // append needs no per-tuple hash probes (see Relation::AppendDistinct),
+  // and the arena is deterministic for a fixed thread count — the same
+  // contract as the generic staged merge. One worker (no pool, or a
+  // single group) runs inline and appends every group in sorted order.
   const size_t workers =
       (pool != nullptr && groups.size() > 1) ? pool->num_workers() : 1;
-  if (workers <= 1) {
-    GroupScratch scratch(num_nodes, out.dense);
-    SeedFilter seed_filter(&scratch, out.dense);
-    std::vector<Value> head_row = shape.head_template;
-    // New rows are staged flat and batch-appended once: the bitset (or
-    // sorted-frontier) dedup plus the seed filter prove every staged row
-    // distinct, so the append needs no per-tuple hash probes (see
-    // Relation::AppendDistinct). Arena order matches the old per-emit
-    // Insert path exactly — duplicates were no-ops there too.
-    std::vector<Value> staged;
-    std::vector<uint32_t> group_new;
-    uint64_t staged_rows = 0;
-    for (const auto& [carry, seeds] : groups) {
-      head_row[shape.carry_col] = carry;
-      seed_filter.Load(seeds);
-      // Deadline pacing rides on pace() (one stride charge per node
-      // expansion); the tuple budget is checked arithmetically per
-      // staged row and charged to the context once at the end, exactly
-      // like the parallel staging path. Emission collects bare node ids;
-      // the full head rows are materialized in one batch per group.
-      group_new.clear();
-      auto emit = [&](uint32_t node) -> Status {
-        if (!seed_filter.Contains(node)) {
-          group_new.push_back(node);
-          if (ctx->tuples_used() + staged_rows + group_new.size() >
-              ctx->tuple_budget()) {
-            return Status::ResourceExhausted(
-                "tuple budget exceeded (mem-out)");
-          }
-        }
-        return Status::OK();
-      };
-      auto pace = [&](uint32_t advance) -> Status {
-        return ctx->CheckBudgetShared(clock_phase, advance);
-      };
-      SPARQLOG_RETURN_NOT_OK(
-          out.dense ? CloseGroupDense(csr, seeds, &scratch, emit, pace)
-                    : CloseGroupSparse(csr, seeds, &scratch, emit, pace));
-      seed_filter.Unload();
-      staged.resize((staged_rows + group_new.size()) * head_arity);
-      Value* dst = staged.data() + staged_rows * head_arity;
-      for (uint32_t node : group_new) {
-        std::copy(head_row.begin(), head_row.end(), dst);
-        dst[shape.join_col] = node_values[node];
-        dst += head_arity;
-      }
-      staged_rows += group_new.size();
-    }
-    target->AppendDistinct(staged.data(), staged_rows, insert_round);
-    out.inserted += staged_rows;
-    ctx->AddTuples(staged_rows);
-    SPARQLOG_RETURN_NOT_OK(ctx->CheckBudgetShared(
-        clock_phase, static_cast<uint32_t>(staged_rows)));
-    return out;
-  }
-
-  // Parallel: carry groups are disjoint by construction (every emitted
-  // row embeds its group's carry value), so dealing them across workers
-  // cannot stage the same row twice, and the per-group seed filter makes
-  // each worker's staging buffer globally distinct with no reads of
-  // `target` at all. The single-writer batch appends below run after the
-  // region barrier, in worker order, so the arena stays deterministic
-  // for a fixed thread count — the same contract as the generic staged
-  // merge.
   struct TcWorker {
     std::vector<Value> staging;  // flat, head-arity stride
     uint64_t staged = 0;
-    uint32_t phase = 0;
     Status status;
   };
   std::vector<TcWorker> ws(workers);
   const bool dense = out.dense;
-  pool->RunOnWorkers([&](size_t w) {
+  auto close_groups = [&](size_t w) {
     TcWorker& me = ws[w];
     GroupScratch scratch(num_nodes, dense);
     SeedFilter seed_filter(&scratch, dense);
@@ -541,6 +485,11 @@ Result<TcKernelStats> RunTcKernel(const TcShape& shape,
     for (size_t g = w; g < groups.size(); g += workers) {
       head_row[shape.carry_col] = groups[g].first;
       seed_filter.Load(groups[g].second);
+      // Deadline pacing rides on pace() (one stride charge per node
+      // expansion); the tuple budget is checked arithmetically per
+      // staged row and charged to the context once the rows are
+      // appended. Emission collects bare node ids; the full head rows
+      // are materialized in one batch per group.
       group_new.clear();
       auto emit = [&](uint32_t node) -> Status {
         if (!seed_filter.Contains(node)) {
@@ -554,7 +503,7 @@ Result<TcKernelStats> RunTcKernel(const TcShape& shape,
         return Status::OK();
       };
       auto pace = [&](uint32_t advance) -> Status {
-        return ctx->CheckBudgetShared(&me.phase, advance);
+        return ctx->CheckBudget(advance);
       };
       me.status =
           dense ? CloseGroupDense(csr, groups[g].second, &scratch, emit, pace)
@@ -571,7 +520,12 @@ Result<TcKernelStats> RunTcKernel(const TcShape& shape,
       }
       me.staged += group_new.size();
     }
-  });
+  };
+  if (workers <= 1) {
+    close_groups(0);
+  } else {
+    pool->RunOnWorkers(close_groups);
+  }
   for (TcWorker& w : ws) SPARQLOG_RETURN_NOT_OK(w.status);
   for (TcWorker& w : ws) {
     if (w.staged == 0) continue;
@@ -579,7 +533,7 @@ Result<TcKernelStats> RunTcKernel(const TcShape& shape,
     out.inserted += w.staged;
     ctx->AddTuples(w.staged);
     SPARQLOG_RETURN_NOT_OK(
-        ctx->CheckBudgetShared(clock_phase, static_cast<uint32_t>(w.staged)));
+        ctx->CheckBudget(static_cast<uint32_t>(w.staged)));
   }
   return out;
 }

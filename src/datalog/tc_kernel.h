@@ -90,7 +90,6 @@ struct TcKernelStats {
 Result<TcKernelStats> RunTcKernel(const TcShape& shape,
                                   const Program& program, Database* edb,
                                   Database* idb, uint32_t insert_round,
-                                  ExecContext* ctx, uint32_t* clock_phase,
-                                  ThreadPool* pool);
+                                  ExecContext* ctx, ThreadPool* pool);
 
 }  // namespace sparqlog::datalog

@@ -1,7 +1,19 @@
 #include "eval/expr_eval.h"
 
 #include <cmath>
+// GCC 12 reports -Wmaybe-uninitialized false positives inside libstdc++'s
+// std::regex state machine (the std::function<bool(char)> of
+// _State<char>, moved in _NFA::_M_insert_*) when optimizing under
+// ASan+UBSan, which breaks -Werror builds. Silence it for the regex
+// headers only; the warning stays on for this file's own code.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <regex>
+#pragma GCC diagnostic pop
+#else
+#include <regex>
+#endif
 
 #include "util/string_util.h"
 

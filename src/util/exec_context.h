@@ -19,7 +19,7 @@ namespace sparqlog {
 ///
 /// A default-constructed context is unlimited. `CheckBudget()` should be
 /// called periodically from evaluation loops; it is cheap (a relaxed atomic
-/// counter plus an occasional clock read).
+/// load, a thread-local counter and an occasional clock read).
 class ExecContext {
  public:
   using Clock = std::chrono::steady_clock;
@@ -46,37 +46,26 @@ class ExecContext {
   }
 
   /// Returns Timeout / ResourceExhausted when a limit has been crossed.
-  /// The deadline is only consulted every `kClockStride` calls to keep the
-  /// common path branch-cheap.
-  Status CheckBudget() { return CheckBudgetShared(&clock_phase_); }
-
-  /// Thread-safe variant for parallel evaluation: identical semantics, but
-  /// the clock-stride phase counter lives in caller-owned state, so
-  /// concurrent workers each pace their own deadline checks instead of
-  /// racing on a shared counter. Limits must be configured before workers
-  /// start (set_deadline_after / set_tuple_budget are not synchronized).
-  Status CheckBudgetShared(uint32_t* clock_phase) const {
-    return CheckBudgetShared(clock_phase, 1);
-  }
-
-  /// Batch variant: advances the caller's stride phase by `advance` work
-  /// units in one call and samples the clock whenever a stride boundary
-  /// is crossed. This keeps the deadline-sampling cadence proportional to
-  /// work *done*, not to call count — the per-predicate merge fan-out
-  /// processes a whole staged batch per call, so a merge worker that
-  /// checked once per batch with the unit variant would sample the clock
-  /// `fan_out * kClockStride` batches apart and could overshoot a
-  /// deadline by several rounds. With `advance` = batch tuple count,
-  /// every worker still samples about once per kClockStride tuples it
-  /// merges, whatever the fan-out width.
-  Status CheckBudgetShared(uint32_t* clock_phase, uint32_t advance) const {
+  /// The tuple budget is checked on every call. The deadline is sampled
+  /// once per `kClockStride` units of work on each thread: every call
+  /// advances the calling thread's stride phase by `advance` units and
+  /// reads the clock only when that crosses a stride boundary. Callers
+  /// that handle a batch per call (the barrier merge, the TC kernel's
+  /// node expansions) pass the batch size, so the sampling cadence
+  /// follows work done, not call count, whatever the fan-out width.
+  ///
+  /// Thread-safe: the phase is a `thread_local`, so concurrent workers
+  /// each pace their own deadline checks. Limits must be configured
+  /// before workers start (set_deadline_after / set_tuple_budget are not
+  /// synchronized).
+  Status CheckBudget(uint32_t advance = 1) const {
     if (tuples_used_.load(std::memory_order_relaxed) > tuple_budget_) {
       return Status::ResourceExhausted("tuple budget exceeded (mem-out)");
     }
     if (has_deadline_) {
-      const uint32_t before = *clock_phase;
-      *clock_phase = before + advance;
-      if (before / kClockStride != *clock_phase / kClockStride &&
+      const uint32_t before = thread_phase_;
+      thread_phase_ = before + advance;
+      if (before / kClockStride != thread_phase_ / kClockStride &&
           Clock::now() > deadline_) {
         return Status::Timeout("deadline exceeded");
       }
@@ -90,16 +79,22 @@ class ExecContext {
   }
 
   /// Deadline checks are sampled once per this many work units (see
-  /// CheckBudgetShared); exposed for tests and pacing callers.
+  /// CheckBudget); exposed for tests and pacing callers.
   static constexpr uint32_t kClockStride = 256;
 
+  /// The calling thread's stride phase: work units charged by every
+  /// CheckBudget this thread made under a deadline. Exposed for tests.
+  static uint32_t thread_phase() { return thread_phase_; }
+
  private:
+  // One counter per thread, shared by every context the thread checks:
+  // pacing spans rule runs, strata and queries alike.
+  static inline thread_local uint32_t thread_phase_ = 0;
 
   bool has_deadline_ = false;
   Clock::time_point deadline_{};
   uint64_t tuple_budget_ = std::numeric_limits<uint64_t>::max();
   std::atomic<uint64_t> tuples_used_{0};
-  uint32_t clock_phase_ = 0;
 };
 
 /// Wall-clock stopwatch for the benchmark harness.

@@ -2,8 +2,9 @@
 // Relation::BulkLoad / DataTranslator's batched build): bulk-built
 // relations must be query-identical to insert-built ones — including
 // duplicate-heavy and empty batches and the dynamic arity > 4 fallback —
-// and the full engine pipeline over a bulk-loaded EDB must agree with the
-// per-tuple reference build at num_threads {1, 2, 8}.
+// DataTranslator's bulk EDB must match the per-tuple reference build arena
+// row by arena row, and the engine pipeline over it must be bit-identical
+// at num_threads {1, 2, 8}.
 
 #include <gtest/gtest.h>
 
@@ -113,8 +114,9 @@ TEST_F(TupleStoreBulkLoad, ProbeAndLaterInsertsAfterBulkLoad) {
   const std::vector<uint32_t> cols = {1};
   for (uint64_t key = 1; key <= 23; ++key) {
     std::vector<Value> k = {V(key)};
-    MatchSpan a = bulk.Probe(cols, k);
-    MatchSpan b = insert.Probe(cols, k);
+    MatchSpan a, b;
+    ASSERT_TRUE(bulk.Probe(cols, k, &a));
+    ASSERT_TRUE(insert.Probe(cols, k, &b));
     EXPECT_EQ(a.size(), b.size()) << "key " << key;
   }
 
@@ -127,7 +129,8 @@ TEST_F(TupleStoreBulkLoad, ProbeAndLaterInsertsAfterBulkLoad) {
   EXPECT_EQ(lo1, before);
   EXPECT_EQ(hi1, bulk.size());
   std::vector<Value> key88 = {V(88)};
-  MatchSpan span = bulk.Probe(cols, key88);
+  MatchSpan span;
+  ASSERT_TRUE(bulk.Probe(cols, key88, &span));
   ASSERT_EQ(span.size(), 1u);
   EXPECT_TRUE(bulk.row(span[0]) == fresh);
 }
@@ -242,54 +245,25 @@ void BuildChain(size_t n, rdf::TermDictionary* dict, rdf::Dataset* dataset) {
   }
 }
 
-TEST(EngineBulkLoad, BulkMatchesPerTupleAcrossThreadCounts) {
+/// The engine's bulk-built EDB is bit-identical to the per-tuple one
+/// (DataTranslatorBulkLoad above), so identical answers follow; what is
+/// left to pin is that the pipeline over it is bit-identical across
+/// thread counts for a deterministically ordered query.
+TEST(EngineBulkLoad, BulkPipelineIdenticalAcrossThreadCounts) {
   rdf::TermDictionary dict;
   rdf::Dataset dataset(&dict);
   BuildChain(120, &dict, &dataset);
+  // Deterministic order (ORDER BY + content tie-break).
+  const std::string query =
+      "SELECT ?x ?y WHERE { ?x <http://b.org/p>+ ?y } ORDER BY ?x ?y";
 
-  const std::vector<std::string> queries = {
-      // Deterministic order (ORDER BY + content tie-break).
-      "SELECT ?x ?y WHERE { ?x <http://b.org/p>+ ?y } ORDER BY ?x ?y",
-      "SELECT ?x ?y WHERE { ?x <http://b.org/p> ?y }",
-      "ASK { <http://b.org/n0> <http://b.org/p>+ <http://b.org/n9> }",
-  };
-
-  for (uint32_t threads : {1u, 2u, 8u}) {
-    core::Engine::Options bulk_opts;
-    bulk_opts.parallelism.num_threads = threads;
-    core::Engine bulk_engine(&dataset, &dict, bulk_opts);
-    ASSERT_TRUE(bulk_engine.Load().ok());
-
-    core::Engine::Options ref_opts = bulk_opts;
-    ref_opts.edb_build = core::EdbBuild::kPerTupleInsert;
-    core::Engine ref_engine(&dataset, &dict, ref_opts);
-    ASSERT_TRUE(ref_engine.Load().ok());
-
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      auto got = bulk_engine.ExecuteText(queries[qi]);
-      auto want = ref_engine.ExecuteText(queries[qi]);
-      ASSERT_TRUE(got.ok()) << queries[qi] << got.status().ToString();
-      ASSERT_TRUE(want.ok()) << queries[qi] << want.status().ToString();
-      EXPECT_TRUE(got->result.SameSolutions(want->result))
-          << "threads=" << threads << " query " << qi;
-      // The bulk-built EDB is bit-identical to the per-tuple one, so the
-      // whole pipeline — row order included — must agree exactly.
-      EXPECT_EQ(got->result.rows, want->result.rows)
-          << "threads=" << threads << " query " << qi;
-      EXPECT_EQ(got->result.is_ask, want->result.is_ask);
-      EXPECT_EQ(got->result.ask_value, want->result.ask_value);
-    }
-  }
-
-  // And the bulk path itself is bit-identical across thread counts for
-  // the deterministically ordered query.
   std::vector<std::vector<rdf::TermId>> first;
   for (uint32_t threads : {1u, 2u, 8u}) {
     core::Engine::Options opts;
     opts.parallelism.num_threads = threads;
     core::Engine engine(&dataset, &dict, opts);
     ASSERT_TRUE(engine.Load().ok());
-    auto result = engine.ExecuteText(queries[0]);
+    auto result = engine.ExecuteText(query);
     ASSERT_TRUE(result.ok());
     if (first.empty()) {
       first = result->result.rows;

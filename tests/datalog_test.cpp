@@ -194,25 +194,33 @@ TEST(RelationTest, InsertDedupAndRounds) {
   EXPECT_EQ(rel.row(lo), (std::vector<Value>{1, 3}));
 }
 
+/// Probe below the index capacity, where it always succeeds.
+MatchSpan ProbeOk(Relation& rel, const std::vector<uint32_t>& cols,
+                  const std::vector<Value>& key) {
+  MatchSpan span;
+  EXPECT_TRUE(rel.Probe(cols, key, &span));
+  return span;
+}
+
 TEST(RelationTest, ProbeBuildsAndMaintainsIndexes) {
   Relation rel(2);
   rel.Insert({1, 10}, 0);
   rel.Insert({1, 11}, 0);
   rel.Insert({2, 10}, 0);
-  MatchSpan span = rel.Probe({0}, {1});
+  MatchSpan span = ProbeOk(rel, {0}, {1});
   EXPECT_EQ(span.size(), 2u);
   // Index maintained across later inserts.
   rel.Insert({1, 12}, 1);
-  span = rel.Probe({0}, {1});
+  span = ProbeOk(rel, {0}, {1});
   EXPECT_EQ(span.size(), 3u);
   // Multi-column probe.
-  span = rel.Probe({0, 1}, {2, 10});
+  span = ProbeOk(rel, {0, 1}, {2, 10});
   ASSERT_EQ(span.size(), 1u);
   EXPECT_EQ(rel.row(span[0]), (std::vector<Value>{2, 10}));
-  EXPECT_TRUE(rel.Probe({1}, {99}).empty());
+  EXPECT_TRUE(ProbeOk(rel, {1}, {99}).empty());
 }
 
-TEST(RelationTest, TryProbeMatchesProbeAndSurvivesConcurrentBuild) {
+TEST(RelationTest, ProbeSurvivesConcurrentBuild) {
   Relation rel(2);
   for (Value i = 0; i < 200; ++i) rel.Insert({i % 20, i}, 0);
   // Concurrent first-probe: workers race to build and publish the same
@@ -223,10 +231,10 @@ TEST(RelationTest, TryProbeMatchesProbeAndSurvivesConcurrentBuild) {
     threads.emplace_back([&rel, &mismatches] {
       for (Value k = 0; k < 20; ++k) {
         MatchSpan span;
-        if (!rel.TryProbe({0}, {k}, &span) || span.size() != 10) {
+        if (!rel.Probe({0}, {k}, &span) || span.size() != 10) {
           ++mismatches;
         }
-        if (!rel.TryProbe({1}, {k}, &span) || span.size() != 1) {
+        if (!rel.Probe({1}, {k}, &span) || span.size() != 1) {
           ++mismatches;
         }
       }
@@ -234,13 +242,62 @@ TEST(RelationTest, TryProbeMatchesProbeAndSurvivesConcurrentBuild) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(mismatches.load(), 0);
-  // The published indexes are the same ones Probe sees, and both stay
-  // maintained across later inserts.
+  // The published indexes stay maintained across later inserts.
   rel.Insert({3, 1000}, 1);
-  EXPECT_EQ(rel.Probe({0}, {3}).size(), 11u);
+  EXPECT_EQ(ProbeOk(rel, {0}, {3}).size(), 11u);
+  EXPECT_EQ(ProbeOk(rel, {1}, {1000}).size(), 1u);
+}
+
+TEST(RelationTest, ProbeReportsFailurePastIndexCapacity) {
+  // Seven columns give 127 distinct non-empty column subsets, well past
+  // the published-index capacity.
+  constexpr uint32_t kArity = 7;
+  Relation rel(kArity);
+  for (Value i = 0; i < 40; ++i) {
+    std::vector<Value> row;
+    for (uint32_t c = 0; c < kArity; ++c) row.push_back(i % (c + 2));
+    rel.Insert(row, 0);
+  }
+  auto subset = [](uint32_t mask) {
+    std::vector<uint32_t> cols;
+    for (uint32_t c = 0; c < kArity; ++c) {
+      if (mask & (1u << c)) cols.push_back(c);
+    }
+    return cols;
+  };
+  // Key of row 0 (all zeros) on any column subset.
+  auto key = [&](uint32_t mask) {
+    return std::vector<Value>(subset(mask).size(), 0);
+  };
+  size_t built = 0;
+  for (uint32_t mask = 1; mask < (1u << kArity); ++mask) {
+    MatchSpan span;
+    const bool ok = rel.Probe(subset(mask), key(mask), &span);
+    if (built < Relation::kMaxPublishedIndexes) {
+      ASSERT_TRUE(ok) << "mask " << mask;
+      EXPECT_GE(span.size(), 1u) << "mask " << mask;  // row 0 matches
+      ++built;
+    } else {
+      EXPECT_FALSE(ok) << "mask " << mask;
+      EXPECT_TRUE(span.empty());  // untouched on failure
+    }
+  }
+  // Indexes built before the capacity was reached keep answering and
+  // stay maintained; an unindexed subset keeps failing.
+  std::vector<Value> row(kArity, 0);
+  row[kArity - 1] = 1000;
+  rel.Insert(row, 1);
+  const uint32_t kept = 1;  // {0}, built first
   MatchSpan span;
-  ASSERT_TRUE(rel.TryProbe({0}, {3}, &span));
-  EXPECT_EQ(span.size(), 11u);
+  ASSERT_TRUE(rel.Probe(subset(kept), key(kept), &span));
+  EXPECT_EQ(span.size(), 21u);  // 20 even i plus the new row
+  EXPECT_FALSE(rel.Probe(subset((1u << kArity) - 1), key((1u << kArity) - 1),
+                         &span));
+  // Dropping the indexes (row ids shift on removal) frees the capacity.
+  EXPECT_EQ(rel.RemoveRows(row), 1u);
+  ASSERT_TRUE(rel.Probe(subset((1u << kArity) - 1), key((1u << kArity) - 1),
+                        &span));
+  EXPECT_GE(span.size(), 1u);
 }
 
 TEST(RelationTest, InsertStagedMergesAndDedupes) {
@@ -357,14 +414,14 @@ TEST(RelationTest, MatchSpanStableAcrossConcurrentInserts) {
   // prefix even as the bucket grows and the arena reallocates.
   Relation rel(2);
   for (Value i = 0; i < 8; ++i) rel.Insert({1, i}, 0);
-  MatchSpan span = rel.Probe({0}, {1});
+  MatchSpan span = ProbeOk(rel, {0}, {1});
   ASSERT_EQ(span.size(), 8u);
   for (uint32_t k = 0; k < span.size(); ++k) {
     // Grow the same bucket (and the arena) mid-iteration.
     rel.Insert({1, 1000 + k}, 1);
     EXPECT_EQ(rel.row(span[k])[1], k);
   }
-  EXPECT_EQ(rel.Probe({0}, {1}).size(), 16u);
+  EXPECT_EQ(ProbeOk(rel, {0}, {1}).size(), 16u);
 }
 
 TEST(RelationTest, InsertRowRefAliasingOwnArena) {

@@ -5,9 +5,10 @@
 // insertion order byte-for-byte, budget enforcement across workers,
 // Skolem- and builtin-heavy strata proving the serial-eligibility
 // carve-outs are gone (thread-safe interning), the sharded initial naive
-// pass, the per-predicate merge fan-out (bit-identical to the serial
-// merge), and concurrent-interning hammers for TermDictionary and
-// SkolemStore (the TSan job sweeps this suite).
+// pass, the per-predicate merge fan-out (deterministic at a fixed
+// thread count), the probe's index-capacity scan fallback, and
+// concurrent-interning hammers for TermDictionary and SkolemStore (the
+// TSan job sweeps this suite).
 
 #include <gtest/gtest.h>
 
@@ -355,12 +356,11 @@ TEST_F(ParallelFixpointTest, InitialNaivePassShards) {
   EXPECT_EQ(serial, ToString(idb, program.predicates, dict_, skolems));
 }
 
-/// The per-predicate merge fan-out must produce each relation's arena
-/// BIT-identical (insertion order included) to the serial
-/// worker-then-predicate merge at the same thread count — the
-/// determinism claim the parallel barrier rests on — and must actually
-/// fan out on a many-head stratum.
-TEST_F(ParallelFixpointTest, MergeFanOutBitIdenticalToSerialMerge) {
+/// Two evaluations at the same thread count must produce every
+/// relation's arena BIT-identical (insertion order included) — the
+/// determinism claim the parallel barrier rests on — and the merge must
+/// actually fan out on a many-head stratum.
+TEST_F(ParallelFixpointTest, MergeFanOutArenasDeterministicAtFixedThreads) {
   // One SCC {a, b, c} where every delta round derives into all three
   // heads: a closes transitively, b and c copy/flip each new a row, and
   // both feed back into a — so each barrier merges three predicates and
@@ -388,8 +388,7 @@ TEST_F(ParallelFixpointTest, MergeFanOutBitIdenticalToSerialMerge) {
   rb.Body("c", {rb.Var("Y"), rb.Var("X")});
   program.rules.push_back(rb.Build());
 
-  auto evaluate = [&](bool parallel_merge, Database* idb,
-                      EvalStats* stats) {
+  auto evaluate = [&](Database* idb, EvalStats* stats) {
     Database edb;
     for (int64_t i = 1; i <= 24; ++i) {
       edb.relation(edge, 2).Insert({V(i), V(i % 24 + 1)}, 0);
@@ -400,25 +399,26 @@ TEST_F(ParallelFixpointTest, MergeFanOutBitIdenticalToSerialMerge) {
     SkolemStore skolems;
     Evaluator evaluator(&dict_, &skolems);
     evaluator.set_num_threads(4);
-    evaluator.set_parallel_merge(parallel_merge);
     ExecContext ctx;
     ASSERT_TRUE(evaluator.Evaluate(program, &edb, idb, &ctx).ok());
     *stats = evaluator.stats();
   };
 
-  Database fanout_idb, serial_idb;
-  EvalStats fanout_stats, serial_stats;
-  evaluate(true, &fanout_idb, &fanout_stats);
-  evaluate(false, &serial_idb, &serial_stats);
-  EXPECT_GT(fanout_stats.merge_fanout_width, 1u);
-  EXPECT_EQ(serial_stats.merge_fanout_width, 0u);
-  EXPECT_EQ(fanout_stats.staged_tuples_merged, serial_stats.staged_tuples_merged);
+  Database first_idb, second_idb;
+  EvalStats first_stats, second_stats;
+  evaluate(&first_idb, &first_stats);
+  evaluate(&second_idb, &second_stats);
+  EXPECT_GT(first_stats.merge_fanout_width, 1u);
+  EXPECT_GT(first_stats.staged_tuples_merged, 0u);
+  EXPECT_EQ(first_stats.staged_tuples_merged,
+            second_stats.staged_tuples_merged);
 
   // Same thread count => same per-worker staging => the per-predicate
-  // merge must reproduce the serial merge's arena order exactly.
-  for (uint32_t pred : fanout_idb.Predicates()) {
-    const Relation* a = fanout_idb.Find(pred);
-    const Relation* b = serial_idb.Find(pred);
+  // merge must reproduce the same arena order exactly.
+  EXPECT_EQ(first_idb.Predicates(), second_idb.Predicates());
+  for (uint32_t pred : first_idb.Predicates()) {
+    const Relation* a = first_idb.Find(pred);
+    const Relation* b = second_idb.Find(pred);
     ASSERT_NE(b, nullptr) << "predicate " << pred;
     ASSERT_EQ(a->size(), b->size()) << "predicate " << pred;
     for (uint32_t i = 0; i < a->size(); ++i) {
@@ -428,10 +428,90 @@ TEST_F(ParallelFixpointTest, MergeFanOutBitIdenticalToSerialMerge) {
   }
 }
 
+/// A predicate probed on more binding patterns than a relation has index
+/// slots: past Relation::kMaxPublishedIndexes the probe fails and the
+/// join scans, serially and in the sharded workers alike, with the same
+/// answers. Rule m walks edges whose attribute columns in mask m all
+/// equal 1, so each of the 128 rules probes `edge` on its own column
+/// subset and derives its own chain.
+TEST_F(ParallelFixpointTest, ProbeCapacityFallbackScansWithSameAnswers) {
+  constexpr uint32_t kAttrs = 7;
+  constexpr uint32_t kMasks = 1u << kAttrs;  // 128 column subsets
+  constexpr int64_t kNodes = 60;
+  static_assert(kMasks > Relation::kMaxPublishedIndexes);
+  Program program;
+  PredicateId edge = program.predicates.Intern("edge", kAttrs + 2);
+  PredicateId reach = program.predicates.Intern("reach", 2);
+  RuleBuilder rb(&program.predicates);
+  for (uint32_t m = 0; m < kMasks; ++m) {
+    std::vector<RuleTerm> args = {rb.Var("X")};
+    for (uint32_t a = 0; a < kAttrs; ++a) {
+      args.push_back((m >> a) & 1 ? RuleBuilder::Const(V(1))
+                                  : rb.Var("A" + std::to_string(a)));
+    }
+    args.push_back(rb.Var("Y"));
+    rb.Head("reach", {RuleBuilder::Const(V(m)), rb.Var("Y")});
+    rb.Body("reach", {RuleBuilder::Const(V(m)), rb.Var("X")});
+    rb.Body("edge", args);
+    program.rules.push_back(rb.Build());
+    program.facts.push_back({reach, {V(m), V(0)}});
+  }
+
+  // Chain edges i -> i+1 carry attribute bits i % kMasks; shortcut edges
+  // i -> i+7 carry every bit.
+  struct Edge {
+    int64_t from, to;
+    uint32_t bits;
+  };
+  std::vector<Edge> edges;
+  for (int64_t i = 0; i + 1 < kNodes; ++i) {
+    edges.push_back({i, i + 1, static_cast<uint32_t>(i % kMasks)});
+    if (i + 7 < kNodes) edges.push_back({i, i + 7, kMasks - 1});
+  }
+  std::vector<std::pair<PredicateId, std::vector<Value>>> facts;
+  for (const Edge& e : edges) {
+    std::vector<Value> row = {V(e.from)};
+    for (uint32_t a = 0; a < kAttrs; ++a) row.push_back(V((e.bits >> a) & 1));
+    row.push_back(V(e.to));
+    facts.push_back({edge, row});
+  }
+
+  // Expected: per mask, the nodes reachable from 0 over its edges.
+  Program expected_program;
+  PredicateId expected_reach = expected_program.predicates.Intern("reach", 2);
+  for (uint32_t m = 0; m < kMasks; ++m) {
+    std::vector<bool> seen(kNodes, false);
+    std::vector<int64_t> stack = {0};
+    seen[0] = true;
+    while (!stack.empty()) {
+      int64_t x = stack.back();
+      stack.pop_back();
+      for (const Edge& e : edges) {
+        if (e.from == x && (e.bits & m) == m && !seen[e.to]) {
+          seen[e.to] = true;
+          stack.push_back(e.to);
+        }
+      }
+    }
+    for (int64_t n = 0; n < kNodes; ++n) {
+      if (seen[n]) expected_program.facts.push_back({expected_reach,
+                                                    {V(m), V(n)}});
+    }
+  }
+  const std::string expected = Dump(expected_program, {}, 1);
+  ASSERT_FALSE(expected.empty());
+  for (uint32_t threads : {1u, 4u}) {
+    EXPECT_EQ(Dump(program, facts, threads), expected)
+        << "threads=" << threads;
+  }
+}
+
 /// Direct unit test of the per-predicate merge fan-out: staged stores
-/// merge in worker order per predicate, duplicates collapse against the
-/// target and across workers, the tuple budget is charged per batch, and
-/// the fan-out width reports the workers actually used.
+/// merge in worker order per predicate (each merged arena equals, row by
+/// row, an InsertStaged loop over the same sources in worker order),
+/// duplicates collapse against the target and across workers, the tuple
+/// budget is charged per batch, and the fan-out width reports the
+/// workers actually used.
 TEST_F(ParallelFixpointTest, MergeStagedParallelUnit) {
   constexpr size_t kWorkers = 4;
   constexpr int kPreds = 3;
@@ -465,10 +545,8 @@ TEST_F(ParallelFixpointTest, MergeStagedParallelUnit) {
   }
 
   ExecContext ctx;
-  std::vector<uint32_t> phases(kWorkers, 0);
   uint32_t fanout = 0;
-  auto merged =
-      MergeStagedParallel(&tasks, 1, &pool, &ctx, phases.data(), &fanout);
+  auto merged = MergeStagedParallel(&tasks, 1, &pool, &ctx, &fanout);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   // Per predicate: 10 shared dups minus the pre-existing (0,p) -> 9 new,
   // plus 10 unique per worker * 4 workers.
@@ -479,6 +557,17 @@ TEST_F(ParallelFixpointTest, MergeStagedParallelUnit) {
     EXPECT_EQ(targets[p]->size(), 1u + 9 + 10 * kWorkers);
     // Worker-order merge: worker 0's unique rows precede worker 1's.
     EXPECT_TRUE(targets[p]->Contains({V(10), V(p)}));
+    Relation reference(2);
+    reference.Insert({V(0), V(p)}, 0);
+    for (const TupleStore& store : staging[p]) {
+      reference.InsertStaged(store, 1);
+    }
+    ASSERT_EQ(targets[p]->size(), reference.size()) << "predicate " << p;
+    for (uint32_t i = 0; i < reference.size(); ++i) {
+      ASSERT_TRUE(targets[p]->row(i) == reference.row(i))
+          << "predicate " << p << " row " << i;
+      EXPECT_EQ(targets[p]->row_round(i), reference.row_round(i));
+    }
   }
 
   // Budget enforcement: a tiny budget trips during the merge.
@@ -496,9 +585,7 @@ TEST_F(ParallelFixpointTest, MergeStagedParallelUnit) {
   tasks2.push_back(std::move(t2));
   ExecContext small;
   small.set_tuple_budget(100);
-  std::vector<uint32_t> phases2(kWorkers, 0);
-  auto tripped = MergeStagedParallel(&tasks2, 1, &pool, &small,
-                                     phases2.data(), &fanout);
+  auto tripped = MergeStagedParallel(&tasks2, 1, &pool, &small, &fanout);
   EXPECT_TRUE(tripped.status().IsResourceExhausted());
 }
 

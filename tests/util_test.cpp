@@ -143,25 +143,34 @@ TEST(ExecContextTest, DeadlineTriggersTimeout) {
   EXPECT_TRUE(last.IsTimeout());
 }
 
-TEST(ExecContextTest, SharedBudgetCheckUsesCallerPhase) {
+/// Runs `body` on a fresh thread, whose budget-check stride phase
+/// starts at 0 (the phase is per thread).
+template <typename Fn>
+void OnFreshThread(Fn body) {
+  std::thread t(body);
+  t.join();
+}
+
+TEST(ExecContextTest, BudgetCheckPacesEachThread) {
   ExecContext ctx;
   ctx.set_deadline_after(std::chrono::milliseconds(1));
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  // Two workers with independent phase counters each detect the timeout
-  // within their own clock stride; the mem-out check is phase-free.
+  // Two workers, each with its own thread's phase, each detect the
+  // timeout within their own clock stride; the mem-out check is
+  // phase-free.
   for (int worker = 0; worker < 2; ++worker) {
-    uint32_t phase = 0;
-    Status last = Status::OK();
-    for (int i = 0; i < 1000 && last.ok(); ++i) {
-      last = ctx.CheckBudgetShared(&phase);
-    }
-    EXPECT_TRUE(last.IsTimeout());
+    OnFreshThread([&] {
+      Status last = Status::OK();
+      int calls = 0;
+      for (; calls < 1000 && last.ok(); ++calls) last = ctx.CheckBudget();
+      EXPECT_TRUE(last.IsTimeout());
+      EXPECT_EQ(calls, static_cast<int>(ExecContext::kClockStride));
+    });
   }
   ExecContext memout;
   memout.set_tuple_budget(10);
   memout.AddTuples(11);
-  uint32_t phase = 0;
-  EXPECT_TRUE(memout.CheckBudgetShared(&phase).IsResourceExhausted());
+  EXPECT_TRUE(memout.CheckBudget().IsResourceExhausted());
 }
 
 TEST(ExecContextTest, BatchAdvanceSamplesClockPerStrideOfWork) {
@@ -172,22 +181,23 @@ TEST(ExecContextTest, BatchAdvanceSamplesClockPerStrideOfWork) {
   // — this is the merge-worker recalibration: cadence follows work done
   // (tuples merged), not call count, so a wide merge fan-out still trips
   // an expired deadline within its round.
-  uint32_t phase = 0;
-  EXPECT_TRUE(
-      ctx.CheckBudgetShared(&phase, ExecContext::kClockStride).IsTimeout());
-  // A batch inside one stride window does not sample...
-  uint32_t phase2 = 0;
-  EXPECT_TRUE(ctx.CheckBudgetShared(&phase2, 10).ok());
-  EXPECT_EQ(phase2, 10u);
-  // ...but cumulative batches that cross the boundary do.
-  Status last = Status::OK();
-  int batches = 0;
-  for (; batches < 100 && last.ok(); ++batches) {
-    last = ctx.CheckBudgetShared(&phase2, 100);
-  }
-  EXPECT_TRUE(last.IsTimeout());
-  // 10 + 100k crosses the 256 boundary at the 3rd batch.
-  EXPECT_EQ(batches, 3);
+  OnFreshThread([&] {
+    EXPECT_TRUE(ctx.CheckBudget(ExecContext::kClockStride).IsTimeout());
+  });
+  OnFreshThread([&] {
+    // A batch inside one stride window does not sample...
+    EXPECT_TRUE(ctx.CheckBudget(10).ok());
+    EXPECT_EQ(ExecContext::thread_phase(), 10u);
+    // ...but cumulative batches that cross the boundary do.
+    Status last = Status::OK();
+    int batches = 0;
+    for (; batches < 100 && last.ok(); ++batches) {
+      last = ctx.CheckBudget(100);
+    }
+    EXPECT_TRUE(last.IsTimeout());
+    // 10 + 100k crosses the 256 boundary at the 3rd batch.
+    EXPECT_EQ(batches, 3);
+  });
 }
 
 TEST(ExecContextTest, BatchAdvanceMatchesUnitVariantSemantics) {
@@ -196,11 +206,12 @@ TEST(ExecContextTest, BatchAdvanceMatchesUnitVariantSemantics) {
   ExecContext ctx;
   ctx.set_deadline_after(std::chrono::milliseconds(1));
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  uint32_t phase = 0;
-  for (uint32_t i = 0; i + 1 < ExecContext::kClockStride; ++i) {
-    EXPECT_TRUE(ctx.CheckBudgetShared(&phase, 1).ok()) << i;
-  }
-  EXPECT_TRUE(ctx.CheckBudgetShared(&phase, 1).IsTimeout());
+  OnFreshThread([&] {
+    for (uint32_t i = 0; i + 1 < ExecContext::kClockStride; ++i) {
+      EXPECT_TRUE(ctx.CheckBudget(1).ok()) << i;
+    }
+    EXPECT_TRUE(ctx.CheckBudget(1).IsTimeout());
+  });
 }
 
 TEST(ThreadPoolTest, RunsEveryWorkerExactlyOnce) {
