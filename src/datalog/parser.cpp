@@ -2,6 +2,7 @@
 
 #include <cctype>
 
+#include "rdf/term_scanner.h"
 #include "util/string_util.h"
 
 namespace sparqlog::datalog {
@@ -13,13 +14,13 @@ class ProgramReader {
  public:
   ProgramReader(std::string_view text, rdf::TermDictionary* dict,
                 SkolemStore* skolems)
-      : text_(text), dict_(dict), skolems_(skolems) {}
+      : in_(text, "datalog"), dict_(dict), skolems_(skolems) {}
 
   Result<Program> Run() {
     while (true) {
       SkipWs();
-      if (AtEnd()) break;
-      if (Peek() == '@') {
+      if (in_.AtEnd()) break;
+      if (in_.Peek() == '@') {
         SPARQLOG_RETURN_NOT_OK(Directive());
       } else {
         SPARQLOG_RETURN_NOT_OK(Statement());
@@ -30,48 +31,33 @@ class ProgramReader {
   }
 
  private:
-  bool AtEnd() const { return pos_ >= text_.size(); }
-  char Peek(size_t k = 0) const {
-    return pos_ + k < text_.size() ? text_[pos_ + k] : '\0';
-  }
-  void Advance() {
-    if (text_[pos_] == '\n') ++line_;
-    ++pos_;
-  }
+  /// Skips whitespace and `#`, `%` and `//` line comments.
   void SkipWs() {
-    while (!AtEnd()) {
-      char c = Peek();
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        Advance();
-      } else if (c == '/' && Peek(1) == '/') {
-        while (!AtEnd() && Peek() != '\n') Advance();
-      } else if (c == '%' || c == '#') {
-        while (!AtEnd() && Peek() != '\n') Advance();
-      } else {
-        return;
-      }
+    while (true) {
+      in_.SkipWs();
+      const char c = in_.Peek();
+      if (c != '%' && !(c == '/' && in_.Peek(1) == '/')) return;
+      while (!in_.AtEnd() && in_.Peek() != '\n') in_.Advance();
     }
   }
-  Status Err(const std::string& what) {
-    return Status::ParseError("datalog line " + std::to_string(line_) + ": " +
-                              what);
-  }
+  Status Err(std::string_view what) const { return in_.Error(what); }
+
   bool ConsumeChar(char c) {
     SkipWs();
-    if (Peek() != c) return false;
-    Advance();
+    if (in_.Peek() != c) return false;
+    in_.Advance();
     return true;
   }
   Status ExpectChar(char c) {
     if (!ConsumeChar(c)) {
-      return Err(std::string("expected '") + c + "', got '" + Peek() + "'");
+      return Err(std::string("expected '") + c + "', got '" + in_.Peek() + "'");
     }
     return Status::OK();
   }
   bool ConsumeToken(std::string_view tok) {
     SkipWs();
-    if (text_.substr(pos_, tok.size()) != tok) return false;
-    for (size_t i = 0; i < tok.size(); ++i) Advance();
+    if (in_.Rest().substr(0, tok.size()) != tok) return false;
+    in_.Advance(tok.size());
     return true;
   }
 
@@ -84,107 +70,53 @@ class ProgramReader {
 
   Result<std::string> Identifier() {
     SkipWs();
-    if (!IsIdentStart(Peek())) return Err("expected identifier");
+    if (!IsIdentStart(in_.Peek())) return Err("expected identifier");
     std::string out;
-    while (!AtEnd() && IsIdentChar(Peek())) {
-      out += Peek();
-      Advance();
+    while (!in_.AtEnd() && IsIdentChar(in_.Peek())) {
+      out += in_.Peek();
+      in_.Advance();
     }
     return out;
   }
 
   Result<std::string> QuotedString() {
     SkipWs();
-    if (Peek() != '"') return Err("expected string");
-    Advance();
-    std::string out;
-    while (!AtEnd() && Peek() != '"') {
-      if (Peek() == '\\') {
-        Advance();
-        char e = Peek();
-        Advance();
-        switch (e) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          default: out += e;
-        }
-        continue;
-      }
-      out += Peek();
-      Advance();
+    SPARQLOG_RETURN_NOT_OK(in_.Scan(&tok_));
+    if (tok_.kind != rdf::TermToken::Kind::kString) {
+      return Err("expected string");
     }
-    if (AtEnd()) return Err("unterminated string");
-    Advance();
-    return out;
+    return tok_.text;
   }
 
-  /// Constant term: <iri>, "literal"(@lang|^^<dt>)?, number.
+  /// Constant term: <iri>, "literal"(@lang|^^<dt>)?, number, boolean.
   Result<Value> ConstantTerm() {
+    using Kind = rdf::TermToken::Kind;
     SkipWs();
-    char c = Peek();
-    if (c == '<') {
-      Advance();
-      std::string iri;
-      while (!AtEnd() && Peek() != '>') {
-        iri += Peek();
-        Advance();
-      }
-      if (AtEnd()) return Err("unterminated IRI");
-      Advance();
-      return ValueFromTerm(dict_->InternIri(iri));
-    }
-    if (c == '"') {
-      SPARQLOG_ASSIGN_OR_RETURN(std::string lex, QuotedString());
-      if (Peek() == '@') {
-        Advance();
-        std::string lang;
-        while (!AtEnd() && (std::isalnum(static_cast<unsigned char>(Peek())) ||
-                            Peek() == '-')) {
-          lang += Peek();
-          Advance();
+    SPARQLOG_RETURN_NOT_OK(in_.Scan(&tok_));
+    switch (tok_.kind) {
+      case Kind::kIri:
+        return ValueFromTerm(dict_->InternIri(tok_.text));
+      case Kind::kString: {
+        std::string lex = std::move(tok_.text);
+        if (in_.Peek() == '@') {
+          SPARQLOG_RETURN_NOT_OK(in_.Scan(&tok_));
+          return ValueFromTerm(dict_->InternLiteral(lex, "", tok_.text));
         }
-        return ValueFromTerm(dict_->InternLiteral(lex, "", lang));
-      }
-      if (Peek() == '^' && Peek(1) == '^') {
-        Advance();
-        Advance();
-        if (Peek() != '<') return Err("expected <datatype> after ^^");
-        Advance();
-        std::string dt;
-        while (!AtEnd() && Peek() != '>') {
-          dt += Peek();
-          Advance();
+        if (in_.Peek() == '^' && in_.Peek(1) == '^') {
+          in_.Advance(2);
+          SPARQLOG_RETURN_NOT_OK(in_.Scan(&tok_));
+          if (tok_.kind != Kind::kIri) {
+            return Err("expected <datatype> after ^^");
+          }
+          return ValueFromTerm(dict_->InternLiteral(lex, tok_.text));
         }
-        Advance();
-        return ValueFromTerm(dict_->InternLiteral(lex, dt));
+        return ValueFromTerm(dict_->InternLiteral(lex));
       }
-      return ValueFromTerm(dict_->InternLiteral(lex));
-    }
-    if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
-      std::string num;
-      if (c == '-') {
-        num += c;
-        Advance();
-      }
-      bool is_double = false;
-      while (!AtEnd()) {
-        char d = Peek();
-        if (std::isdigit(static_cast<unsigned char>(d))) {
-          num += d;
-          Advance();
-        } else if (d == '.' &&
-                   std::isdigit(static_cast<unsigned char>(Peek(1)))) {
-          is_double = true;
-          num += d;
-          Advance();
-        } else {
-          break;
+      default:
+        if (tok_.is_number()) {
+          return ValueFromTerm(
+              dict_->InternLiteral(tok_.text, tok_.number_datatype()));
         }
-      }
-      return ValueFromTerm(is_double
-                               ? dict_->InternLiteral(num, rdf::xsd::kDouble)
-                               : dict_->InternLiteral(num, rdf::xsd::kInteger));
     }
     if (ConsumeToken("true")) return ValueFromTerm(dict_->InternBoolean(true));
     if (ConsumeToken("false")) {
@@ -196,7 +128,7 @@ class ProgramReader {
   /// A rule term: variable (identifier) or constant.
   Result<RuleTerm> Term(RuleBuilder* rb) {
     SkipWs();
-    if (IsIdentStart(Peek()) && !StartsKeywordConstant()) {
+    if (IsIdentStart(in_.Peek()) && !StartsKeywordConstant()) {
       SPARQLOG_ASSIGN_OR_RETURN(std::string name, Identifier());
       return rb->Var(name);
     }
@@ -205,7 +137,8 @@ class ProgramReader {
   }
 
   bool StartsKeywordConstant() {
-    return text_.substr(pos_, 4) == "true" || text_.substr(pos_, 5) == "false";
+    std::string_view rest = in_.Rest();
+    return rest.substr(0, 4) == "true" || rest.substr(0, 5) == "false";
   }
 
   struct ParsedAtom {
@@ -218,7 +151,7 @@ class ProgramReader {
     SPARQLOG_ASSIGN_OR_RETURN(out.predicate, Identifier());
     SPARQLOG_RETURN_NOT_OK(ExpectChar('('));
     SkipWs();
-    if (Peek() != ')') {
+    if (in_.Peek() != ')') {
       while (true) {
         SPARQLOG_ASSIGN_OR_RETURN(RuleTerm t, Term(rb));
         out.args.push_back(t);
@@ -271,7 +204,7 @@ class ProgramReader {
       if (ConsumeToken("not ")) {
         SPARQLOG_ASSIGN_OR_RETURN(ParsedAtom atom, ParseAtom(&rb));
         rb.NegBody(atom.predicate, std::move(atom.args));
-      } else if (IsIdentStart(Peek()) && !StartsKeywordConstant() &&
+      } else if (IsIdentStart(in_.Peek()) && !StartsKeywordConstant() &&
                  LooksLikeAtom()) {
         SPARQLOG_ASSIGN_OR_RETURN(ParsedAtom atom, ParseAtom(&rb));
         rb.Body(atom.predicate, std::move(atom.args));
@@ -284,7 +217,7 @@ class ProgramReader {
           rb.Ne(lhs, rhs);
         } else if (ConsumeChar('=')) {
           SkipWs();
-          if (Peek() == '[') {
+          if (in_.Peek() == '[') {
             SPARQLOG_RETURN_NOT_OK(SkolemAssignment(&rb, lhs));
           } else {
             SPARQLOG_ASSIGN_OR_RETURN(RuleTerm rhs, Term(&rb));
@@ -304,17 +237,14 @@ class ProgramReader {
 
   /// Lookahead: identifier followed by '(' (atom) vs builtin operand.
   bool LooksLikeAtom() {
-    size_t k = pos_;
-    while (k < text_.size() && IsIdentChar(text_[k])) ++k;
-    while (k < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[k]))) {
-      ++k;
-    }
-    return k < text_.size() && text_[k] == '(';
+    size_t k = 0;
+    while (IsIdentChar(in_.Peek(k))) ++k;
+    while (std::isspace(static_cast<unsigned char>(in_.Peek(k)))) ++k;
+    return in_.Peek(k) == '(';
   }
 
   Status Directive() {
-    Advance();  // '@'
+    in_.Advance();  // '@'
     SPARQLOG_ASSIGN_OR_RETURN(std::string name, Identifier());
     SPARQLOG_RETURN_NOT_OK(ExpectChar('('));
     SPARQLOG_ASSIGN_OR_RETURN(std::string pred, QuotedString());
@@ -362,9 +292,8 @@ class ProgramReader {
     return ExpectChar('.');
   }
 
-  std::string_view text_;
-  size_t pos_ = 0;
-  int line_ = 1;
+  rdf::TermScanner in_;
+  rdf::TermToken tok_;
   rdf::TermDictionary* dict_;
   SkolemStore* skolems_;
   Program program_;

@@ -2,8 +2,8 @@
 
 #include <cctype>
 #include <map>
-#include <optional>
 
+#include "rdf/term_scanner.h"
 #include "util/failpoint.h"
 #include "util/string_util.h"
 
@@ -14,119 +14,112 @@ namespace {
 SPARQLOG_FAILPOINT_DEFINE(g_fp_statement, "rdf.turtle.statement");
 SPARQLOG_FAILPOINT_DEFINE(g_fp_intern, "rdf.intern.term");
 
-/// Recursive-descent Turtle reader over a raw character buffer.
+/// Recursive-descent Turtle reader: statements, directives, GRAPH blocks
+/// and predicate-object lists around the shared term scanner.
 class TurtleReader {
  public:
   TurtleReader(std::string_view text, TermDictionary* dict, Dataset* dataset,
                Graph* single_graph)
-      : text_(text), dict_(dict), dataset_(dataset), target_(single_graph) {}
+      : in_(text, "turtle"),
+        dict_(dict),
+        dataset_(dataset),
+        target_(single_graph) {}
 
   Status Run() {
     while (true) {
-      SkipWs();
-      if (AtEnd()) return Status::OK();
+      in_.SkipWs();
+      if (in_.AtEnd()) return Status::OK();
       SPARQLOG_FAILPOINT(g_fp_statement);
       SPARQLOG_RETURN_NOT_OK(Statement());
     }
   }
 
  private:
-  bool AtEnd() const { return pos_ >= text_.size(); }
-  char Peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  char PeekAt(size_t k) const {
-    return pos_ + k < text_.size() ? text_[pos_ + k] : '\0';
-  }
-  void Advance() {
-    if (text_[pos_] == '\n') ++line_;
-    ++pos_;
+  using Kind = TermToken::Kind;
+
+  /// Whether `c` may not continue a keyword.
+  static bool EndsKeyword(char c) {
+    return !std::isalnum(static_cast<unsigned char>(c)) && c != '_' &&
+           c != '-' && c != ':';
   }
 
-  void SkipWs() {
-    while (!AtEnd()) {
-      char c = Peek();
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        Advance();
-      } else if (c == '#') {
-        while (!AtEnd() && Peek() != '\n') Advance();
-      } else {
-        return;
-      }
-    }
-  }
-
-  Status Err(const std::string& what) {
-    return Status::ParseError("turtle line " + std::to_string(line_) + ": " +
-                              what);
-  }
-
+  /// Consumes `kw` (ASCII case-insensitive) unless it starts a longer name.
   bool ConsumeKeyword(std::string_view kw) {
-    SkipWs();
-    if (pos_ + kw.size() > text_.size()) return false;
-    if (!AsciiEqualsIgnoreCase(text_.substr(pos_, kw.size()), kw)) return false;
-    // Keyword must not continue as a name.
-    char next = PeekAt(kw.size());
-    if (std::isalnum(static_cast<unsigned char>(next)) || next == '_') {
+    in_.SkipWs();
+    std::string_view rest = in_.Rest();
+    if (rest.size() < kw.size() ||
+        !AsciiEqualsIgnoreCase(rest.substr(0, kw.size()), kw) ||
+        !EndsKeyword(in_.Peek(kw.size()))) {
       return false;
     }
-    for (size_t i = 0; i < kw.size(); ++i) Advance();
+    in_.Advance(kw.size());
     return true;
   }
 
   bool ConsumeChar(char c) {
-    SkipWs();
-    if (Peek() != c) return false;
-    Advance();
+    in_.SkipWs();
+    if (in_.AtEnd() || in_.Peek() != c) return false;
+    in_.Advance();
     return true;
   }
 
   Status ExpectChar(char c) {
-    if (!ConsumeChar(c)) {
-      return Err(std::string("expected '") + c + "', got '" + Peek() + "'");
-    }
-    return Status::OK();
+    if (ConsumeChar(c)) return Status::OK();
+    return in_.Error(std::string("expected '") + c + "', got " +
+                     (in_.AtEnd() ? "the end of the input"
+                                  : "'" + std::string(1, in_.Peek()) + "'"));
+  }
+
+  /// Scans the next term, if one starts after the whitespace, into tok_.
+  Status ScanTerm() {
+    in_.SkipWs();
+    return in_.Scan(&tok_);
   }
 
   Status Statement() {
-    // Directives.
-    if (ConsumeKeyword("@prefix")) return PrefixDirective(/*sparql_style=*/false);
-    if (ConsumeKeyword("@base")) return BaseDirective(/*sparql_style=*/false);
-    SkipWs();
-    size_t save = pos_;
-    if (ConsumeKeyword("PREFIX")) {
-      // Could be the start of a pname like PREFIXfoo; ConsumeKeyword already
-      // guards with a name-boundary check.
-      return PrefixDirective(/*sparql_style=*/true);
-    }
-    pos_ = save;
-    if (ConsumeKeyword("BASE")) return BaseDirective(/*sparql_style=*/true);
-    pos_ = save;
+    // The '@' forms end with '.', the SPARQL-style forms do not.
+    if (ConsumeKeyword("@prefix")) return PrefixDirective(/*dotted=*/true);
+    if (ConsumeKeyword("@base")) return BaseDirective(/*dotted=*/true);
+    if (ConsumeKeyword("PREFIX")) return PrefixDirective(/*dotted=*/false);
+    if (ConsumeKeyword("BASE")) return BaseDirective(/*dotted=*/false);
     if (ConsumeKeyword("GRAPH")) return GraphBlock();
-    pos_ = save;
     return TriplesStatement(CurrentGraph());
   }
 
-  Status PrefixDirective(bool sparql_style) {
-    SkipWs();
-    std::string name;
-    while (!AtEnd() && Peek() != ':') {
-      if (std::isspace(static_cast<unsigned char>(Peek()))) break;
-      name += Peek();
-      Advance();
+  Status PrefixDirective(bool dotted) {
+    SPARQLOG_RETURN_NOT_OK(ScanTerm());
+    if (tok_.kind != Kind::kPName || !tok_.local().empty()) {
+      return in_.Error("expected a prefix name ending in ':'");
     }
-    SPARQLOG_RETURN_NOT_OK(ExpectChar(':'));
-    std::string iri;
-    SPARQLOG_RETURN_NOT_OK(ReadIriRef(&iri));
-    prefixes_[name] = iri;
-    if (!sparql_style) SPARQLOG_RETURN_NOT_OK(ExpectChar('.'));
+    std::string name(tok_.prefix());
+    SPARQLOG_RETURN_NOT_OK(ReadIriRef());
+    prefixes_[std::move(name)] = tok_.text;
+    if (dotted) SPARQLOG_RETURN_NOT_OK(ExpectChar('.'));
     return Status::OK();
   }
 
-  Status BaseDirective(bool sparql_style) {
-    std::string iri;
-    SPARQLOG_RETURN_NOT_OK(ReadIriRef(&iri));
-    base_ = iri;
-    if (!sparql_style) SPARQLOG_RETURN_NOT_OK(ExpectChar('.'));
+  Status BaseDirective(bool dotted) {
+    SPARQLOG_RETURN_NOT_OK(ReadIriRef());
+    base_ = tok_.text;
+    if (dotted) SPARQLOG_RETURN_NOT_OK(ExpectChar('.'));
     return Status::OK();
+  }
+
+  /// Reads an <IRI> into tok_.text, resolved against the base.
+  Status ReadIriRef() {
+    SPARQLOG_RETURN_NOT_OK(ScanTerm());
+    if (tok_.kind != Kind::kIri) return in_.Error("expected <IRI>");
+    ResolveAgainstBase(&tok_.text);
+    return Status::OK();
+  }
+
+  /// Resolves a relative IRI against the base by concatenation; the
+  /// workloads use only absolute IRIs or simple relative names.
+  void ResolveAgainstBase(std::string* iri) const {
+    if (!base_.empty() && iri->find("://") == std::string::npos &&
+        !StartsWith(*iri, "urn:")) {
+      iri->insert(0, base_);
+    }
   }
 
   Graph* CurrentGraph() {
@@ -136,21 +129,21 @@ class TurtleReader {
 
   Status GraphBlock() {
     if (target_ != nullptr) {
-      return Err("GRAPH blocks not allowed when loading a single graph");
+      return in_.Error("GRAPH blocks not allowed when loading a single graph");
+    }
+    SPARQLOG_RETURN_NOT_OK(ScanTerm());
+    if (tok_.kind != Kind::kIri && tok_.kind != Kind::kPName) {
+      return in_.Error("expected a graph IRI");
     }
     TermId name;
-    SPARQLOG_RETURN_NOT_OK(ReadIriTerm(&name));
+    SPARQLOG_RETURN_NOT_OK(InternToken(&name));
     SPARQLOG_RETURN_NOT_OK(ExpectChar('{'));
     Graph* g = &dataset_->named_graph(name);
-    while (true) {
-      SkipWs();
-      if (Peek() == '}') {
-        Advance();
-        return Status::OK();
-      }
-      if (AtEnd()) return Err("unterminated GRAPH block");
+    while (!ConsumeChar('}')) {
+      if (in_.AtEnd()) return in_.Error("unterminated GRAPH block");
       SPARQLOG_RETURN_NOT_OK(TriplesStatement(g));
     }
+    return Status::OK();
   }
 
   Status TriplesStatement(Graph* g) {
@@ -171,285 +164,139 @@ class TurtleReader {
         if (!ConsumeChar(',')) break;
       }
       if (!ConsumeChar(';')) return Status::OK();
-      SkipWs();
+      in_.SkipWs();
       // Trailing ';' before '.' is legal Turtle.
-      if (Peek() == '.' || Peek() == '}' || Peek() == ']') return Status::OK();
+      char c = in_.Peek();
+      if (c == '.' || c == '}' || c == ']') return Status::OK();
     }
   }
 
   Status ReadSubject(Graph* g, TermId* out) {
-    SkipWs();
-    char c = Peek();
-    if (c == '<' || IsPnameStart(c)) return ReadIriTerm(out);
-    if (c == '_') return ReadBlank(out);
-    if (c == '[') return ReadAnonBlank(g, out);
-    return Err("expected subject");
+    SPARQLOG_RETURN_NOT_OK(ScanTerm());
+    switch (tok_.kind) {
+      case Kind::kIri:
+      case Kind::kPName:
+      case Kind::kBlank:
+        return InternToken(out);
+      case Kind::kNone:
+        if (in_.Peek() == '[') return ReadAnonBlank(g, out);
+        [[fallthrough]];
+      default:
+        return in_.Error("expected subject");
+    }
   }
 
   Status ReadPredicate(TermId* out) {
-    SkipWs();
-    if (Peek() == 'a') {
-      char next = PeekAt(1);
-      if (std::isspace(static_cast<unsigned char>(next)) || next == '<') {
-        Advance();
-        *out = dict_->InternIri(rdfns::kType);
-        return Status::OK();
-      }
+    SPARQLOG_RETURN_NOT_OK(ScanTerm());
+    if (tok_.kind == Kind::kIri || tok_.kind == Kind::kPName) {
+      return InternToken(out);
     }
-    return ReadIriTerm(out);
+    if (tok_.kind == Kind::kNone && in_.Peek() == 'a' &&
+        EndsKeyword(in_.Peek(1))) {
+      in_.Advance();
+      *out = dict_->InternIri(rdfns::kType);
+      return Status::OK();
+    }
+    return in_.Error("expected predicate");
   }
 
   Status ReadObject(Graph* g, TermId* out) {
-    SkipWs();
-    char c = Peek();
-    if (c == '<' ) return ReadIriTerm(out);
-    if (c == '_') return ReadBlank(out);
-    if (c == '[') return ReadAnonBlank(g, out);
-    if (c == '"' || c == '\'') return ReadLiteral(out);
-    if (c == '+' || c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
-      return ReadNumber(out);
+    SPARQLOG_RETURN_NOT_OK(ScanTerm());
+    switch (tok_.kind) {
+      case Kind::kNone:
+        if (in_.Peek() == '[') return ReadAnonBlank(g, out);
+        if (in_.Peek() == '(') {
+          return in_.Error("RDF collections are not supported");
+        }
+        if (ConsumeKeyword("true")) {
+          *out = dict_->InternBoolean(true);
+          return Status::OK();
+        }
+        if (ConsumeKeyword("false")) {
+          *out = dict_->InternBoolean(false);
+          return Status::OK();
+        }
+        return in_.Error("expected object");
+      case Kind::kString:
+        return ReadLiteral(out);
+      case Kind::kLangTag:
+        return in_.Error("expected object");
+      default:
+        return InternToken(out);
     }
-    if (ConsumeKeyword("true")) {
-      *out = dict_->InternBoolean(true);
-      return Status::OK();
-    }
-    if (ConsumeKeyword("false")) {
-      *out = dict_->InternBoolean(false);
-      return Status::OK();
-    }
-    if (c == '(') return Err("RDF collections are not supported");
-    if (IsPnameStart(c)) return ReadIriTerm(out);
-    return Err("expected object");
-  }
-
-  static bool IsPnameStart(char c) {
-    return std::isalpha(static_cast<unsigned char>(c)) || c == ':';
-  }
-  static bool IsPnameChar(char c) {
-    return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-           c == '-' || c == '.';
-  }
-
-  Status ReadIriRef(std::string* out) {
-    SkipWs();
-    if (Peek() != '<') return Err("expected <IRI>");
-    Advance();
-    out->clear();
-    while (!AtEnd() && Peek() != '>') {
-      *out += Peek();
-      Advance();
-    }
-    if (AtEnd()) return Err("unterminated IRI");
-    Advance();  // '>'
-    // Resolve relative IRIs against the base (simple concatenation; the
-    // workloads only use absolute IRIs or simple relative names).
-    if (!base_.empty() && out->find("://") == std::string::npos &&
-      !StartsWith(*out, "urn:")) {
-    *out = base_ + *out;
-    }
-    return Status::OK();
-  }
-
-  Status ReadIriTerm(TermId* out) {
-    SPARQLOG_FAILPOINT(g_fp_intern);
-    SkipWs();
-    if (Peek() == '<') {
-      std::string iri;
-      SPARQLOG_RETURN_NOT_OK(ReadIriRef(&iri));
-      *out = dict_->InternIri(iri);
-      return Status::OK();
-    }
-    // Prefixed name: PN_PREFIX? ':' PN_LOCAL
-    std::string prefix;
-    while (!AtEnd() && Peek() != ':' && IsPnameChar(Peek())) {
-      prefix += Peek();
-      Advance();
-    }
-    if (Peek() != ':') return Err("expected prefixed name");
-    Advance();
-    std::string local;
-    while (!AtEnd() && (IsPnameChar(Peek()))) {
-      // A '.' terminates the local name if followed by whitespace/EOL, since
-      // it is then the statement terminator.
-      if (Peek() == '.') {
-        char next = PeekAt(1);
-        if (!IsPnameChar(next) || next == '.') break;
-      }
-      local += Peek();
-      Advance();
-    }
-    auto it = prefixes_.find(prefix);
-    if (it == prefixes_.end()) return Err("unknown prefix '" + prefix + ":'");
-    *out = dict_->InternIri(it->second + local);
-    return Status::OK();
-  }
-
-  Status ReadBlank(TermId* out) {
-    // _:label
-    Advance();  // '_'
-    if (Peek() != ':') return Err("expected ':' after '_'");
-    Advance();
-    std::string label;
-    while (!AtEnd() && IsPnameChar(Peek())) {
-      if (Peek() == '.') {
-        char next = PeekAt(1);
-        if (!IsPnameChar(next) || next == '.') break;
-      }
-      label += Peek();
-      Advance();
-    }
-    if (label.empty()) return Err("empty blank node label");
-    *out = dict_->InternBlank(label);
-    return Status::OK();
   }
 
   Status ReadAnonBlank(Graph* g, TermId* out) {
-    Advance();  // '['
+    in_.Advance();  // '['
     TermId node = dict_->InternBlank(dict_->FreshBlankLabel());
-    SkipWs();
-    if (Peek() != ']') {
+    if (!ConsumeChar(']')) {
       SPARQLOG_RETURN_NOT_OK(PredicateObjectList(g, node));
+      SPARQLOG_RETURN_NOT_OK(ExpectChar(']'));
     }
-    SPARQLOG_RETURN_NOT_OK(ExpectChar(']'));
     *out = node;
     return Status::OK();
   }
 
-  Status ReadStringBody(std::string* out) {
-    char quote = Peek();
-    Advance();
-    bool long_string = false;
-    if (Peek() == quote && PeekAt(1) == quote) {
-      long_string = true;
-      Advance();
-      Advance();
-    }
-    out->clear();
-    while (!AtEnd()) {
-      char c = Peek();
-      if (c == '\\') {
-        Advance();
-        char e = Peek();
-        Advance();
-        switch (e) {
-          case 'n': *out += '\n'; break;
-          case 't': *out += '\t'; break;
-          case 'r': *out += '\r'; break;
-          case '\\': *out += '\\'; break;
-          case '"': *out += '"'; break;
-          case '\'': *out += '\''; break;
-          case 'u': case 'U': {
-            // Keep \u sequences verbatim-decoded as ASCII when possible;
-            // otherwise emit '?' (FEASIBLE preprocessing in the paper also
-            // dropped non-ASCII, see Appendix D.2.1).
-            int len = (e == 'u') ? 4 : 8;
-            unsigned long cp = 0;
-            for (int i = 0; i < len && !AtEnd(); ++i) {
-              cp = cp * 16 +
-                   static_cast<unsigned long>(
-                       std::isdigit(static_cast<unsigned char>(Peek()))
-                           ? Peek() - '0'
-                           : std::tolower(static_cast<unsigned char>(Peek())) -
-                                 'a' + 10);
-              Advance();
-            }
-            *out += (cp < 128) ? static_cast<char>(cp) : '?';
-            break;
-          }
-          default:
-            *out += e;
-        }
-        continue;
-      }
-      if (!long_string && c == quote) {
-        Advance();
-        return Status::OK();
-      }
-      if (long_string && c == quote && PeekAt(1) == quote &&
-          PeekAt(2) == quote) {
-        Advance();
-        Advance();
-        Advance();
-        return Status::OK();
-      }
-      if (!long_string && c == '\n') return Err("newline in string literal");
-      *out += c;
-      Advance();
-    }
-    return Err("unterminated string literal");
-  }
-
+  /// The string in tok_, then an optional @lang or ^^datatype.
   Status ReadLiteral(TermId* out) {
-    std::string lex;
-    SPARQLOG_RETURN_NOT_OK(ReadStringBody(&lex));
-    // Optional @lang or ^^datatype.
-    if (Peek() == '@') {
-      Advance();
-      std::string lang;
-      while (!AtEnd() && (std::isalnum(static_cast<unsigned char>(Peek())) ||
-                          Peek() == '-')) {
-        lang += Peek();
-        Advance();
-      }
-      *out = dict_->InternLiteral(lex, "", lang);
+    lexical_.swap(tok_.text);
+    if (in_.Peek() == '@') {
+      SPARQLOG_RETURN_NOT_OK(in_.Scan(&tok_));
+      *out = dict_->InternLiteral(lexical_, "", tok_.text);
       return Status::OK();
     }
-    if (Peek() == '^' && PeekAt(1) == '^') {
-      Advance();
-      Advance();
+    if (in_.Peek() == '^' && in_.Peek(1) == '^') {
+      in_.Advance(2);
+      SPARQLOG_RETURN_NOT_OK(ScanTerm());
+      if (tok_.kind != Kind::kIri && tok_.kind != Kind::kPName) {
+        return in_.Error("expected a datatype IRI after '^^'");
+      }
       TermId dt;
-      SPARQLOG_RETURN_NOT_OK(ReadIriTerm(&dt));
-      *out = dict_->InternLiteral(lex, dict_->get(dt).lexical);
+      SPARQLOG_RETURN_NOT_OK(InternToken(&dt));
+      *out = dict_->InternLiteral(lexical_, dict_->get(dt).lexical);
       return Status::OK();
     }
-    *out = dict_->InternLiteral(lex);
+    *out = dict_->InternLiteral(lexical_);
     return Status::OK();
   }
 
-  Status ReadNumber(TermId* out) {
-    std::string text;
-    if (Peek() == '+' || Peek() == '-') {
-      text += Peek();
-      Advance();
-    }
-    bool is_double = false;
-    while (!AtEnd()) {
-      char c = Peek();
-      if (std::isdigit(static_cast<unsigned char>(c))) {
-        text += c;
-        Advance();
-      } else if (c == '.') {
-        // '.' is the statement terminator unless followed by a digit.
-        if (!std::isdigit(static_cast<unsigned char>(PeekAt(1)))) break;
-        is_double = true;
-        text += c;
-        Advance();
-      } else if (c == 'e' || c == 'E') {
-        is_double = true;
-        text += c;
-        Advance();
-        if (Peek() == '+' || Peek() == '-') {
-          text += Peek();
-          Advance();
+  /// Interns the IRI, prefixed name, blank node or number in tok_.
+  Status InternToken(TermId* out) {
+    SPARQLOG_FAILPOINT(g_fp_intern);
+    switch (tok_.kind) {
+      case Kind::kIri:
+        ResolveAgainstBase(&tok_.text);
+        *out = dict_->InternIri(tok_.text);
+        return Status::OK();
+      case Kind::kPName: {
+        auto it = prefixes_.find(tok_.prefix());
+        if (it == prefixes_.end()) {
+          return in_.Error("unknown prefix '" + std::string(tok_.prefix()) +
+                           ":'");
         }
-      } else {
-        break;
+        iri_.assign(it->second).append(tok_.local());
+        *out = dict_->InternIri(iri_);
+        return Status::OK();
       }
+      case Kind::kBlank:
+        *out = dict_->InternBlank(tok_.text);
+        return Status::OK();
+      default:
+        if (!tok_.is_number()) return in_.Error("expected a term");
+        *out = dict_->InternLiteral(tok_.text, tok_.number_datatype());
+        return Status::OK();
     }
-    if (text.empty()) return Err("malformed number");
-    *out = is_double ? dict_->InternLiteral(text, xsd::kDouble)
-                     : dict_->InternLiteral(text, xsd::kInteger);
-    return Status::OK();
   }
 
-  std::string_view text_;
-  size_t pos_ = 0;
-  int line_ = 1;
+  TermScanner in_;
   TermDictionary* dict_;
   Dataset* dataset_;       // may be null when target_ is set
   Graph* target_;          // single-graph mode
   std::string base_;
-  std::map<std::string, std::string> prefixes_;
+  std::map<std::string, std::string, std::less<>> prefixes_;
+  TermToken tok_;          // the term being read
+  std::string lexical_;    // a literal's body while its suffix is scanned
+  std::string iri_;        // a prefixed name's expansion
 };
 
 }  // namespace
@@ -463,98 +310,6 @@ Status ParseTurtleIntoGraph(std::string_view text, TermDictionary* dict,
                             Graph* graph) {
   TurtleReader reader(text, dict, nullptr, graph);
   return reader.Run();
-}
-
-Status ParseNQuads(std::string_view text, Dataset* dataset) {
-  // N-Quads is a strict subset of the statement syntax handled above except
-  // for the optional graph label; handle it line by line.
-  TermDictionary* dict = dataset->dict();
-  int line_no = 0;
-  for (std::string_view line : SplitString(text, '\n')) {
-    ++line_no;
-    line = StripAscii(line);
-    if (line.empty() || line[0] == '#') continue;
-    // Parse "term term term [term] ." by reusing the Turtle machinery on a
-    // synthetic buffer per line.
-    Dataset scratch(dict);
-    // Collect terms: run a mini reader that reads up to 4 terms.
-    std::vector<TermId> terms;
-    {
-      // Use a TurtleReader in single-graph mode over "s p o ." to validate.
-      // Cheaper: split on whitespace respecting <> and "" nesting.
-      std::string cur;
-      bool in_iri = false, in_str = false;
-      std::vector<std::string> raw;
-      for (size_t i = 0; i < line.size(); ++i) {
-        char c = line[i];
-        if (in_str) {
-          cur += c;
-          if (c == '\\' && i + 1 < line.size()) {
-            cur += line[++i];
-          } else if (c == '"') {
-            in_str = false;
-          }
-          continue;
-        }
-        if (in_iri) {
-          cur += c;
-          if (c == '>') in_iri = false;
-          continue;
-        }
-        if (c == '<') {
-          in_iri = true;
-          cur += c;
-        } else if (c == '"') {
-          in_str = true;
-          cur += c;
-        } else if (std::isspace(static_cast<unsigned char>(c))) {
-          if (!cur.empty()) {
-            raw.push_back(cur);
-            cur.clear();
-          }
-        } else {
-          cur += c;
-        }
-      }
-      if (!cur.empty()) raw.push_back(cur);
-      if (!raw.empty() && raw.back() == ".") raw.pop_back();
-      if (raw.size() < 3 || raw.size() > 4) {
-        return Status::ParseError("nquads line " + std::to_string(line_no) +
-                                  ": expected 3 or 4 terms");
-      }
-      for (const std::string& r : raw) {
-        Graph tmp;
-        TurtleReader term_reader(r, dict, nullptr, &tmp);
-        // Reuse object parsing by wrapping in a dummy statement is overkill;
-        // parse directly based on the first char.
-        if (r.size() >= 2 && r[0] == '<') {
-          terms.push_back(dict->InternIri(r.substr(1, r.size() - 2)));
-        } else if (r.size() >= 2 && r[0] == '_' && r[1] == ':') {
-          terms.push_back(dict->InternBlank(r.substr(2)));
-        } else if (!r.empty() && r[0] == '"') {
-          // "lex"(@lang|^^<dt>)?
-          size_t close = r.rfind('"');
-          std::string lex = r.substr(1, close - 1);
-          std::string rest = r.substr(close + 1);
-          if (StartsWith(rest, "@")) {
-            terms.push_back(dict->InternLiteral(lex, "", rest.substr(1)));
-          } else if (StartsWith(rest, "^^<") && EndsWith(rest, ">")) {
-            terms.push_back(
-                dict->InternLiteral(lex, rest.substr(3, rest.size() - 4)));
-          } else {
-            terms.push_back(dict->InternLiteral(lex));
-          }
-        } else {
-          return Status::ParseError("nquads line " + std::to_string(line_no) +
-                                    ": bad term '" + r + "'");
-        }
-      }
-    }
-    Graph* g = terms.size() == 4 ? &dataset->named_graph(terms[3])
-                                 : &dataset->default_graph();
-    g->Add(terms[0], terms[1], terms[2]);
-  }
-  return Status::OK();
 }
 
 }  // namespace sparqlog::rdf

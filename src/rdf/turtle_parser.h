@@ -24,7 +24,4 @@ Status ParseTurtle(std::string_view text, Dataset* dataset);
 Status ParseTurtleIntoGraph(std::string_view text, TermDictionary* dict,
                             Graph* graph);
 
-/// Parses N-Quads-style lines "<s> <p> <o> [<g>] ." into the dataset.
-Status ParseNQuads(std::string_view text, Dataset* dataset);
-
 }  // namespace sparqlog::rdf

@@ -490,5 +490,48 @@ TEST_F(FailpointSweepTest, MalformedUpdatePayloadIs400AndTouchesNothing) {
   EXPECT_EQ(world.engine->stats().updates, stats_before.updates + 1);
 }
 
+/// Every engine counter, by name, as the server's /stats lists them.
+std::vector<std::pair<std::string, uint64_t>> Counters(const World& world) {
+  std::vector<std::pair<std::string, uint64_t>> out;
+  world.engine->stats().ForEach([&out](const char* key, auto value) {
+    out.emplace_back(key, static_cast<uint64_t>(value));
+  });
+  return out;
+}
+
+// Malformed escapes in a POST /update body are the term scanner's typed
+// errors: a 400 that names the column, with no engine counter moved.
+TEST_F(FailpointSweepTest, MalformedEscapeUpdateIs400WithColumnAndNoCounter) {
+  World world;
+  server::HttpServer server(world.engine.get(), &world.dict);
+  const uint64_t generation_before = world.dataset.Generation();
+  const auto counters_before = Counters(world);
+
+  for (const char* body : {
+           "<http://r.org/a> <http://r.org/p> \"x\\",         // trailing '\'
+           "<http://r.org/a> <http://r.org/p> \"x\\q\" .",     // unknown
+           "<http://r.org/a> <http://r.org/p> \"x\\u00\" .",   // short
+           "<http://r.org/a> <http://r.org/p> \"\\uZZZZ\" .",  // non-hex
+           "<http://r.org/a> <http://r.org/p> \"\\uD800\" .",  // surrogate
+           "<http://r.org/a> <http://r.org/p> \"\\U00110000\" .",
+           "<http://r.org/a\\q> <http://r.org/p> <http://r.org/b> .",
+       }) {
+    server::HttpRequest bad;
+    bad.method = "POST";
+    bad.path = "/update";
+    bad.query = "op=insert";
+    bad.body = body;
+    server::HttpResponse response = server.Route(bad);
+    EXPECT_EQ(response.status, 400) << body;
+    EXPECT_NE(response.body.find("parse_error"), std::string::npos)
+        << response.body;
+    EXPECT_NE(response.body.find("column"), std::string::npos)
+        << response.body;
+  }
+
+  EXPECT_EQ(world.dataset.Generation(), generation_before);
+  EXPECT_EQ(Counters(world), counters_before);
+}
+
 }  // namespace
 }  // namespace sparqlog

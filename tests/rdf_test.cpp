@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "rdf/dictionary.h"
 #include "rdf/graph.h"
 #include "rdf/term.h"
@@ -248,20 +251,127 @@ TEST(TurtleParserTest, Errors) {
       << "collections are rejected";
 }
 
-TEST(NQuadsTest, TriplesAndQuads) {
+TEST(TurtleParserTest, EscapesDecodeToUtf8) {
   TermDictionary dict;
   Dataset dataset(&dict);
-  auto st = ParseNQuads(
-      "<http://a> <http://p> \"x\" .\n"
-      "# comment\n"
-      "<http://a> <http://p> <http://b> <http://g> .\n"
-      "<http://a> <http://p> \"t\"@en <http://g> .\n",
+  auto st = ParseTurtle(
+      R"(<http://s> <http://p> "caf\u00e9", "caf\u00E8", "\u20AC",
+          "\U0001F600", "\u0041", "A", <http://x/\u0041> .)",
       &dataset);
   ASSERT_TRUE(st.ok()) << st.ToString();
-  EXPECT_EQ(dataset.default_graph().size(), 1u);
-  const Graph* g = dataset.FindNamedGraph(dict.InternIri("http://g"));
-  ASSERT_NE(g, nullptr);
-  EXPECT_EQ(g->size(), 2u);
+  // "\u0041" and "A" are one term; the two accented spellings are two.
+  EXPECT_EQ(dataset.default_graph().size(), 6u);
+  EXPECT_TRUE(dict.Lookup(Term::Literal("caf\xC3\xA9")).has_value());
+  EXPECT_TRUE(dict.Lookup(Term::Literal("caf\xC3\xA8")).has_value());
+  EXPECT_TRUE(dict.Lookup(Term::Literal("\xE2\x82\xAC")).has_value());
+  EXPECT_TRUE(dict.Lookup(Term::Literal("\xF0\x9F\x98\x80")).has_value());
+  EXPECT_TRUE(dict.Lookup(Term::Iri("http://x/A")).has_value());
+}
+
+TEST(TurtleParserTest, NumbersTypedAsTurtleAndSparqlDefineThem) {
+  TermDictionary dict;
+  Dataset dataset(&dict);
+  auto st = ParseTurtle(
+      "<http://s> <http://p> 42, -7, 3.5, .5, 1e2, 2.5E-3, 1.e2 .\n"
+      "<http://s> <http://q> 7.\n",
+      &dataset);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(dataset.default_graph().size(), 8u);
+  for (auto [lex, type] : std::initializer_list<
+           std::pair<const char*, std::string_view>>{
+           {"42", xsd::kInteger}, {"-7", xsd::kInteger},
+           {"7", xsd::kInteger}, {"3.5", xsd::kDecimal},
+           {".5", xsd::kDecimal}, {"1e2", xsd::kDouble},
+           {"2.5E-3", xsd::kDouble}, {"1.e2", xsd::kDouble}}) {
+    EXPECT_TRUE(dict.Lookup(Term::Literal(lex, std::string(type))).has_value())
+        << lex;
+  }
+}
+
+TEST(TurtleParserTest, NamesMayContainButNotEndWithADot) {
+  TermDictionary dict;
+  Dataset dataset(&dict);
+  auto st = ParseTurtle(
+      "@prefix ex: <http://ex.org/> .\n"
+      "_:b.1 ex:p ex:a.b.\n"
+      "ex:c ex:p _:b.1.\n",
+      &dataset);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(dataset.default_graph().size(), 2u);
+  EXPECT_TRUE(dict.Lookup(Term::Iri("http://ex.org/a.b")).has_value());
+  EXPECT_TRUE(dict.Lookup(Term::Blank("b.1")).has_value());
+}
+
+TEST(TurtleParserTest, MalformedEscapesAreTypedErrorsAtTheirColumn) {
+  struct Case {
+    const char* name;
+    const char* escape;  // appended to a string literal left open
+  };
+  const Case cases[] = {
+      {"trailing backslash", "\\"},
+      {"unknown escape", "\\q\" ."},
+      {"short \\u", "\\u00\" ."},
+      {"non-hex \\u", "\\uZZZZ\" ."},
+      {"surrogate", "\\uD800\" ."},
+      {"beyond U+10FFFF", "\\U00110000\" ."},
+  };
+  const std::string head = "# line 1\n<http://a> <http://b> \"x";
+  // The column of the '\' that follows `head`.
+  const std::string where =
+      "line 2, column " + std::to_string(head.size() - head.find('\n'));
+  for (const Case& c : cases) {
+    TermDictionary dict;
+    Dataset dataset(&dict);
+    Status st = ParseTurtle(head + c.escape, &dataset);
+    EXPECT_TRUE(st.IsParseError()) << c.name << ": " << st.ToString();
+    EXPECT_NE(st.message().find(where), std::string::npos)
+        << c.name << ": " << st.ToString();
+  }
+  TermDictionary dict;
+  Dataset dataset(&dict);
+  Status st = ParseTurtle("<http://a\\n> <http://b> <http://c> .", &dataset);
+  EXPECT_TRUE(st.IsParseError()) << "an IRI takes only \\u and \\U";
+  EXPECT_NE(st.message().find("line 1, column 10"), std::string::npos)
+      << st.ToString();
+}
+
+// Cuts each seed document at every byte offset. Every cut parses or is a
+// typed ParseError with a line and a column; each cut is read from a heap
+// buffer of exactly its length, so a read past the end trips ASan.
+TEST(TurtleParserTest, EveryTruncationIsOkOrAPositionedParseError) {
+  const std::string seeds[] = {
+      R"(@prefix ex: <http://ex.org/> .
+    ex:a a ex:T ;
+         ex:p ex:b , ex:c .)",
+      R"(@prefix ex: <http://ex.org/> .
+    @prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+    ex:a ex:p "tagged"@en-GB .
+    ex:a ex:p "7"^^xsd:integer .
+    ex:a ex:p 42 , 2.5 , 1.0e3 , true .
+    ex:a ex:p "esc\"aped\nline" , 'single' , """long
+string""" .)",
+      R"(BASE <http://b.org/>
+    PREFIX ex: <http://ex.org/>
+    _:x.1 ex:p <rel> .
+    [ ex:q ex:b ] ex:p ex:c.d .
+    GRAPH <http://g1> { ex:a ex:p "caf\u00e9" . ex:c ex:p "\U0001F600" . })",
+  };
+  for (const std::string& seed : seeds) {
+    for (size_t n = 0; n <= seed.size(); ++n) {
+      std::unique_ptr<char[]> cut(new char[n]);
+      std::copy(seed.begin(), seed.begin() + n, cut.get());
+      TermDictionary dict;
+      Dataset dataset(&dict);
+      Status st = ParseTurtle(std::string_view(cut.get(), n), &dataset);
+      if (st.ok()) continue;
+      ASSERT_TRUE(st.IsParseError()) << st.ToString();
+      ASSERT_NE(st.message().find(", column "), std::string::npos)
+          << st.ToString();
+    }
+    TermDictionary dict;
+    Dataset dataset(&dict);
+    EXPECT_TRUE(ParseTurtle(seed, &dataset).ok()) << seed;
+  }
 }
 
 TEST(WriterTest, RoundTripPreservesDataset) {

@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
+#include "core/engine.h"
 #include "rdf/dictionary.h"
+#include "rdf/turtle_parser.h"
 #include "sparql/ast.h"
 #include "sparql/features.h"
 #include "sparql/lexer.h"
@@ -64,6 +69,89 @@ TEST(LexerTest, CommentsSkipped) {
   auto tokens = Tokenize("SELECT # comment ?notavar\n ?x").ValueOrDie();
   EXPECT_EQ(tokens[1].kind, TokenKind::kVar);
   EXPECT_EQ(tokens[1].text, "x");
+}
+
+TEST(LexerTest, EscapesDecodeAsInTurtle) {
+  auto tokens =
+      Tokenize(R"("\u0041" 'caf\u00e9' "a\"b\t" <http://x/\u0041>)")
+          .ValueOrDie();
+  EXPECT_EQ(tokens[0].text, "A");
+  EXPECT_EQ(tokens[1].text, "caf\xC3\xA9");
+  EXPECT_EQ(tokens[2].text, "a\"b\t");
+  EXPECT_EQ(tokens[3].text, "http://x/A");
+}
+
+TEST(LexerTest, MalformedEscapesAreTypedErrorsAtTheirColumn) {
+  struct Case {
+    const char* name;
+    const char* escape;  // appended to a string literal left open
+  };
+  const Case cases[] = {
+      {"trailing backslash", "\\"},
+      {"unknown escape", "\\q\" }"},
+      {"short \\u", "\\u00\" }"},
+      {"non-hex \\u", "\\uZZZZ\" }"},
+      {"surrogate", "\\uD800\" }"},
+      {"beyond U+10FFFF", "\\U00110000\" }"},
+  };
+  const std::string head = "SELECT *\nWHERE { ?s ?p \"x";
+  // The column of the '\' that follows `head`.
+  const std::string where =
+      "line 2, column " + std::to_string(head.size() - head.find('\n'));
+  for (const Case& c : cases) {
+    auto tokens = Tokenize(head + c.escape);
+    ASSERT_FALSE(tokens.ok()) << c.name;
+    EXPECT_TRUE(tokens.status().IsParseError()) << c.name;
+    EXPECT_NE(tokens.status().message().find(where), std::string::npos)
+        << c.name << ": " << tokens.status().ToString();
+  }
+}
+
+// Cuts each seed query at every byte offset: the tokenizer gives tokens
+// or a ParseError with a line and a column, and the parser a query or a
+// typed error. Each cut is read from a heap buffer of exactly its
+// length, so a read past the end trips ASan.
+TEST(LexerTest, EveryTruncationIsOkOrATypedError) {
+  const std::string seeds[] = {
+      "SELECT ?x $y <http://a> ex:b _:c \"str\"@en 12 3.5 1e2 "
+      "{ } != <= && || ^^ a",
+      R"(PREFIX ex: <http://ex.org/>
+    SELECT ?s WHERE {
+      { ?s ex:a ?x } UNION { ?s ex:b ?x }
+      OPTIONAL { ?s ex:c ?y }
+      MINUS { ?s ex:d ?z }
+      GRAPH ?g { ?s ex:e ?w }
+      FILTER (?x > 5)
+    })",
+      R"(PREFIX ex: <http://ex.org/>
+    SELECT DISTINCT ?s (COUNT(?o) AS ?n) WHERE {
+      ?s ex:p/ex:q* ?o . _:b.1 ex:r ex:a.b .
+      FILTER (?o != "caf\u00e9"@en-GB && ?o < -2.5e3 || ?o = '''long
+text''')
+    } GROUP BY ?s ORDER BY DESC(?s) LIMIT 10)",
+  };
+  for (const std::string& seed : seeds) {
+    for (size_t n = 0; n <= seed.size(); ++n) {
+      std::unique_ptr<char[]> cut(new char[n]);
+      std::copy(seed.begin(), seed.begin() + n, cut.get());
+      std::string_view text(cut.get(), n);
+      auto tokens = Tokenize(text);
+      if (!tokens.ok()) {
+        ASSERT_TRUE(tokens.status().IsParseError())
+            << tokens.status().ToString();
+        ASSERT_NE(tokens.status().message().find(", column "),
+                  std::string::npos)
+            << tokens.status().ToString();
+      }
+      rdf::TermDictionary dict;
+      auto query = ParseQuery(text, &dict);
+      if (!query.ok()) {
+        ASSERT_TRUE(query.status().IsParseError() ||
+                    query.status().IsNotSupported())
+            << query.status().ToString();
+      }
+    }
+  }
 }
 
 TEST_F(ParserTest, BasicSelect) {
@@ -339,6 +427,51 @@ TEST(FeatureAnalyzerTest, UsageRowPercentages) {
   auto row = FeatureUsageRow(sets, &names);
   ASSERT_EQ(names[0], "DIST");
   EXPECT_DOUBLE_EQ(row[0], 50.0);
+}
+
+// One spelling is one term in Turtle data and in a SPARQL query: each row
+// loads its triples, checks none collapsed into another, and matches the
+// spelling as a query constant through the engine.
+TEST(SpellingTest, SameSpellingIsTheSameTermInDataAndQuery) {
+  struct Row {
+    std::vector<std::string> triples;  // Turtle statements, '.' omitted
+    std::string pattern;               // the query's WHERE body
+    size_t rows;
+  };
+  const Row table[] = {
+      {{R"(ex:s ex:p "\u0041")"}, R"(?s ex:p "\u0041")", 1},
+      {{R"(ex:s ex:p "\u0041")"}, R"(?s ex:p "A")", 1},
+      {{R"(ex:s ex:p "caf\u00e9")", R"(ex:t ex:p "caf\u00e8")"},
+       R"(?s ex:p "caf\u00e9")", 1},
+      {{R"(ex:s ex:p "a\"b")"}, R"(?s ex:p "a\"b")", 1},
+      {{R"(ex:s ex:p 'x')"}, R"(?s ex:p 'x')", 1},
+      {{R"(ex:s ex:p """long""")"}, R"(?s ex:p """long""")", 1},
+      {{R"(ex:s ex:p "x"@en-GB)"}, R"(?s ex:p "x"@en-GB)", 1},
+      {{"ex:s ex:p 42"}, "?s ex:p 42", 1},
+      {{"ex:s ex:p 3.5"}, "?s ex:p 3.5", 1},
+      {{"ex:s ex:p 1e2"}, "?s ex:p 1e2", 1},
+      // A blank node in a query is a non-distinguished variable.
+      {{"_:b.1 ex:q ex:o", "ex:s ex:p ex:o"}, "_:b.1 ex:q ?s", 1},
+      {{"ex:s ex:p ex:a.b", "ex:t ex:p ex:a"}, "?s ex:p ex:a.b", 1},
+  };
+  for (const Row& row : table) {
+    std::string data = "@prefix ex: <http://ex.org/> .\n";
+    for (const std::string& t : row.triples) data += t + " .\n";
+    rdf::TermDictionary dict;
+    rdf::Dataset dataset(&dict);
+    Status st = rdf::ParseTurtle(data, &dataset);
+    ASSERT_TRUE(st.ok()) << st.ToString() << "\n" << data;
+    EXPECT_EQ(dataset.default_graph().size(), row.triples.size()) << data;
+
+    core::Engine engine(&dataset, &dict);
+    ASSERT_TRUE(engine.Load().ok());
+    auto result = engine.ExecuteText(
+        "PREFIX ex: <http://ex.org/>\nSELECT ?s WHERE { " + row.pattern +
+        " }");
+    ASSERT_TRUE(result.ok()) << result.status().ToString() << "\n"
+                             << row.pattern;
+    EXPECT_EQ(result->result.rows.size(), row.rows) << row.pattern;
+  }
 }
 
 }  // namespace
