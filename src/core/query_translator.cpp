@@ -1,8 +1,8 @@
 #include "core/query_translator.h"
 
 #include <algorithm>
-
-#include "sparql/optimizer.h"
+#include <array>
+#include <functional>
 
 namespace sparqlog::core {
 
@@ -23,6 +23,9 @@ namespace {
 
 std::string AnsName(uint64_t i) { return "ans" + std::to_string(i); }
 std::string VName(const std::string& v) { return "V_" + v; }
+std::string FnName(uint64_t i, const char* suffix = "") {
+  return "f" + std::to_string(i) + suffix;
+}
 
 Status SkolemExhausted() {
   return Status::ResourceExhausted("Skolem tuple-id space exhausted");
@@ -56,6 +59,41 @@ bool ContainsVar(const std::vector<std::string>& vars, const std::string& v) {
   return std::binary_search(vars.begin(), vars.end(), v);
 }
 
+bool IsSubset(const std::vector<std::string>& a,
+              const std::vector<std::string>& b) {
+  return std::includes(b.begin(), b.end(), a.begin(), a.end());
+}
+
+/// Variables of an expression, sorted and deduplicated.
+std::vector<std::string> ExprVars(const sparql::Expr& e) {
+  std::vector<std::string> out;
+  e.CollectVars(&out);
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+/// Paths whose relation is a set: a link (the triple relation is one),
+/// the closures `?`, `+`, `*`, `{n,}` and `{,n}` (SPARQL 1.1 evaluates
+/// them with set semantics), and inverses of sets. Sequences,
+/// alternatives, negated property sets (one row per matching predicate)
+/// and `{n}` keep duplicates.
+bool PathIsSet(const Path& pp) {
+  switch (pp.kind) {
+    case PathKind::kLink:
+    case PathKind::kZeroOrOne:
+    case PathKind::kOneOrMore:
+    case PathKind::kZeroOrMore:
+    case PathKind::kNOrMore:
+    case PathKind::kUpTo:
+      return true;
+    case PathKind::kInverse:
+      return PathIsSet(*pp.left);
+    default:
+      return false;
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -68,12 +106,6 @@ namespace {
 RuleTerm GraphArg(RuleBuilder& rb, bool is_var, const std::string& var,
                   Value constant) {
   return is_var ? rb.Var(var) : RuleBuilder::Const(constant);
-}
-
-/// Subject/predicate/object position: SPARQL var -> rule var V_<name>.
-RuleTerm TV(RuleBuilder& rb, const TermOrVar& tv) {
-  if (tv.is_var) return rb.Var(VName(tv.var));
-  return RuleBuilder::Const(ValueFromTerm(tv.term));
 }
 
 }  // namespace
@@ -92,36 +124,115 @@ static std::vector<RuleTerm> AnsArgs(RuleBuilder& rb, bool with_id,
   return out;
 }
 
+static std::vector<std::string> VNames(const std::vector<std::string>& vars) {
+  std::vector<std::string> out;
+  out.reserve(vars.size());
+  for (const auto& v : vars) out.push_back(VName(v));
+  return out;
+}
+
+std::vector<std::string> QueryTranslator::CompShared(const Analysis& a,
+                                                     const Analysis& b) {
+  std::vector<std::string> out;
+  for (const auto& x : SharedVars(a.vars, b.vars)) {
+    if (!ContainsVar(a.certain, x) || !ContainsVar(b.certain, x)) {
+      out.push_back(x);
+    }
+  }
+  return out;
+}
+
+// Certainly-bound variables and duplicate-freeness, bottom-up. A join
+// (or OPTIONAL) of duplicate-free inputs is duplicate-free when every
+// shared variable is certainly bound on both sides: then each result
+// mapping splits into its two input mappings in exactly one way.
+const QueryTranslator::Analysis& QueryTranslator::Analyze(const Pattern& p) {
+  if (auto it = analyses_.find(&p); it != analyses_.end()) return it->second;
+  Analysis a;
+  a.vars = p.Vars();
+  switch (p.kind) {
+    case PatternKind::kEmpty:
+      a.dup_free = true;
+      break;
+    case PatternKind::kTriple:
+      a.certain = a.vars;
+      a.dup_free = true;
+      break;
+    case PatternKind::kPath:
+      a.certain = a.vars;
+      a.dup_free = PathIsSet(*p.path);
+      break;
+    case PatternKind::kJoin:
+    case PatternKind::kOptional: {
+      const Analysis& l = Analyze(*p.left);
+      const Analysis& r = Analyze(*p.right);
+      a.certain = p.kind == PatternKind::kJoin
+                      ? UnionVars(l.certain, r.certain)
+                      : l.certain;
+      a.dup_free = l.dup_free && r.dup_free && CompShared(l, r).empty();
+      break;
+    }
+    case PatternKind::kUnion:
+      a.certain = SharedVars(Analyze(*p.left).certain,
+                             Analyze(*p.right).certain);
+      break;
+    case PatternKind::kGraph:
+      a.certain = Analyze(*p.left).certain;
+      if (p.graph.is_var) a.certain = UnionVars(a.certain, {p.graph.var});
+      a.dup_free = Analyze(*p.left).dup_free;
+      break;
+    case PatternKind::kMinus:
+    case PatternKind::kFilter:
+    case PatternKind::kExistsFilter:
+    case PatternKind::kBind:  // an evaluation error leaves the target unbound
+      a.certain = Analyze(*p.left).certain;
+      a.dup_free = Analyze(*p.left).dup_free;
+      break;
+    case PatternKind::kValues:
+      for (size_t c = 0; c < p.values_vars.size(); ++c) {
+        bool undef = false;
+        for (const auto& row : p.values_rows) {
+          undef |= row[c] == rdf::TermDictionary::kUndef;
+        }
+        if (!undef) a.certain.push_back(p.values_vars[c]);
+      }
+      std::sort(a.certain.begin(), a.certain.end());
+      a.certain.erase(std::unique(a.certain.begin(), a.certain.end()),
+                      a.certain.end());
+      break;
+  }
+  return analyses_.emplace(&p, std::move(a)).first->second;
+}
+
+Result<Value> QueryTranslator::BranchTag(uint64_t i, const char* suffix) {
+  Value tag = skolems_->Intern(skolems_->InternFunction(FnName(i, suffix)),
+                               nullptr, 0);
+  if (tag == SkolemStore::kExhausted) return SkolemExhausted();
+  return tag;
+}
+
 Status QueryTranslator::TransPattern(const Pattern& p, bool dst, const Ctx& g,
                                      uint64_t i) {
   switch (p.kind) {
     case PatternKind::kEmpty: {
       // Unit pattern {}: one (empty) mapping.
       RuleBuilder rb(&program_.predicates);
-      rb.Head(AnsName(i), AnsArgs(rb, !dst, "ID", {}, GARG(rb)));
+      rb.Head(AnsName(i), AnsArgs(rb, false, "", {}, GARG(rb)));
       if (g.is_var) rb.Body("named", {rb.Var(g.var)});
-      if (!dst) {
-        rb.Skolem(rb.Var("ID"),
-                  skolems_->InternFunction("f" + std::to_string(i)),
-                  rb.PositiveBodyVars());
-      }
       program_.rules.push_back(rb.Build());
       return Status::OK();
     }
     case PatternKind::kTriple:
-      return TransTriple(p, dst, g, i);
     case PatternKind::kPath:
-      return TransPathPattern(p, dst, g, i);
     case PatternKind::kJoin:
-      return TransJoin(p, dst, g, i);
+    case PatternKind::kFilter:
+      return TransGroup(p, dst, g, i);
     case PatternKind::kUnion:
       return TransUnion(p, dst, g, i);
     case PatternKind::kOptional:
       return TransOptional(p, dst, g, i);
     case PatternKind::kMinus:
       return TransMinus(p, dst, g, i);
-    case PatternKind::kFilter:
-      return TransFilter(p, dst, g, i);
     case PatternKind::kGraph:
       return TransGraph(p, dst, g, i);
     case PatternKind::kBind:
@@ -134,36 +245,158 @@ Status QueryTranslator::TransPattern(const Pattern& p, bool dst, const Ctx& g,
   return Status::Internal("unhandled pattern kind in translation");
 }
 
+// Definitions A.3 (Triple), A.5 (Join), A.8 (Filter) and A.11 (Property
+// Path Pattern), fused: a maximal join of triple patterns, path patterns
+// and other subpatterns becomes one rule whose body holds a `triple` atom
+// per triple pattern, the path relation per path pattern and the child's
+// `ans` predicate per other subpattern. A FILTER is absorbed when its
+// variables have the same value in the rule as in the filtered
+// subpattern: at the group's root, or when they are certainly bound in
+// that subpattern. A variable shared by two conjuncts is one rule
+// variable when both certainly bind it, and is merged through `comp`
+// otherwise.
+Status QueryTranslator::TransGroup(const Pattern& p, bool dst, const Ctx& g,
+                                   uint64_t i) {
+  std::vector<const Pattern*> conjuncts, filters;
+  std::function<void(const Pattern&, bool)> collect = [&](const Pattern& n,
+                                                          bool root) {
+    if (n.kind == PatternKind::kJoin) {
+      collect(*n.left, false);
+      collect(*n.right, false);
+      return;
+    }
+    if (n.kind == PatternKind::kFilter) {
+      const Analysis& child = Analyze(*n.left);
+      if (root || IsSubset(SharedVars(ExprVars(*n.condition), child.vars),
+                           child.certain)) {
+        filters.push_back(&n);
+        collect(*n.left, root);
+        return;
+      }
+    }
+    conjuncts.push_back(&n);
+  };
+  collect(p, true);
+
+  RuleBuilder rb(&program_.predicates);
+  // SPARQL variable -> rule variable holding its joined value, and the
+  // variables some conjunct so far binds certainly.
+  std::unordered_map<std::string, std::string> joined;
+  std::vector<std::string> bound;
+  std::vector<std::array<std::string, 3>> comps;
+  std::vector<std::pair<const Pattern*, uint64_t>> children;
+  std::vector<std::string> child_ids;  // ID variables of bag conjuncts
+  for (size_t k = 1; k <= conjuncts.size(); ++k) {
+    const Pattern& c = *conjuncts[k - 1];
+    // Rule variable of each variable of this conjunct (first occurrence
+    // decides; a variable repeated inside one triple stays one variable).
+    std::unordered_map<std::string, RuleTerm> local;
+    auto var = [&](const std::string& x, bool certain) -> RuleTerm {
+      if (auto it = local.find(x); it != local.end()) return it->second;
+      RuleTerm t;
+      auto it = joined.find(x);
+      if (it == joined.end()) {
+        joined.emplace(x, VName(x));
+        t = rb.Var(VName(x));
+      } else if (certain && std::find(bound.begin(), bound.end(), x) !=
+                                bound.end()) {
+        t = rb.Var(it->second);
+      } else {
+        const std::string mine = "V" + std::to_string(k) + "_" + x;
+        const std::string merged = "C" + std::to_string(k) + "_" + x;
+        comps.push_back({it->second, mine, merged});
+        it->second = merged;
+        t = rb.Var(mine);
+      }
+      if (certain) bound.push_back(x);
+      local.emplace(x, t);
+      return t;
+    };
+    auto term = [&](const TermOrVar& tv) {
+      return tv.is_var ? var(tv.var, true)
+                       : RuleBuilder::Const(ValueFromTerm(tv.term));
+    };
+    const std::string id = "ID" + std::to_string(k);
+    if (c.kind == PatternKind::kTriple) {
+      rb.Body(triple_pred_, {term(c.s), term(c.p), term(c.o), GARG(rb)});
+      continue;
+    }
+    const uint64_t child = Fresh();
+    children.emplace_back(&c, child);
+    std::vector<RuleTerm> args;
+    if (HasId(c, dst)) {
+      args.push_back(rb.Var(id));
+      child_ids.push_back(id);
+    }
+    if (c.kind == PatternKind::kPath) {
+      args.push_back(term(c.s));
+      args.push_back(term(c.o));
+    } else {
+      const Analysis& a = Analyze(c);
+      for (const auto& x : a.vars) {
+        args.push_back(var(x, ContainsVar(a.certain, x)));
+      }
+    }
+    args.push_back(GARG(rb));
+    rb.Body(AnsName(child), std::move(args));
+  }
+  for (const auto& [a, b, z] : comps) {
+    rb.Body("comp", {rb.Var(a), rb.Var(b), rb.Var(z)});
+  }
+  needs_comp_ |= !comps.empty();
+  for (const Pattern* f : filters) {
+    std::vector<std::pair<std::string, datalog::VarId>> mapping;
+    for (const auto& x :
+         SharedVars(ExprVars(*f->condition), Analyze(*f->left).vars)) {
+      mapping.emplace_back(x, rb.VarIdOf(joined.at(x)));
+    }
+    rb.Filter(f->condition, std::move(mapping));
+  }
+  std::vector<std::string> head_vars;
+  for (const auto& x : Analyze(p).vars) head_vars.push_back(joined.at(x));
+  // Without comp, the head variables fix every conjunct's variables, so
+  // they fix every duplicate-free conjunct's tuple: the one bag
+  // conjunct's ID, with them, identifies the body binding.
+  const bool pass_id = comps.empty() && child_ids.size() == 1;
+  const std::string head_id = pass_id ? child_ids[0] : "ID";
+  rb.Head(AnsName(i), AnsArgs(rb, HasId(p, dst), head_id, head_vars, GARG(rb)));
+  if (HasId(p, dst) && !pass_id) {
+    rb.Skolem(rb.Var("ID"), skolems_->InternFunction(FnName(i)),
+              rb.PositiveBodyVars());
+  }
+  program_.rules.push_back(rb.Build());
+
+  for (const auto& [c, child] : children) {
+    if (c->kind == PatternKind::kPath) {
+      SPARQLOG_RETURN_NOT_OK(
+          TransPath(*c->path, dst, c->s, c->o, g, child, /*top=*/true));
+    } else {
+      SPARQLOG_RETURN_NOT_OK(TransPattern(*c, dst, g, child));
+    }
+  }
+  return Status::OK();
+}
+
 // Extension (§7 roadmap): BIND(expr AS ?v) — an assignment builtin over
 // the child bindings. Evaluation errors bind the null constant, i.e. the
 // variable stays unbound, per the SPARQL Extend semantics.
 Status QueryTranslator::TransBind(const Pattern& p, bool dst, const Ctx& g,
                                   uint64_t i) {
-  auto v1 = p.left->Vars();
-  std::vector<std::string> p1_vars, head_vars;
-  for (const auto& v : v1) p1_vars.push_back(VName(v));
-  for (const auto& v : p.Vars()) head_vars.push_back(VName(v));
-
+  const uint64_t child = Fresh();
+  const auto& v1 = Analyze(*p.left).vars;
   RuleBuilder rb(&program_.predicates);
-  rb.Head(AnsName(i), AnsArgs(rb, !dst, "ID", head_vars, GARG(rb)));
-  rb.Body(AnsName(2 * i), AnsArgs(rb, !dst, "ID1", p1_vars, GARG(rb)));
-  std::vector<std::string> expr_var_names;
-  p.condition->CollectVars(&expr_var_names);
-  std::sort(expr_var_names.begin(), expr_var_names.end());
-  expr_var_names.erase(
-      std::unique(expr_var_names.begin(), expr_var_names.end()),
-      expr_var_names.end());
+  // The child's ID identifies the extended mapping too.
+  rb.Head(AnsName(i),
+          AnsArgs(rb, HasId(p, dst), "ID1", VNames(Analyze(p).vars), GARG(rb)));
+  rb.Body(AnsName(child),
+          AnsArgs(rb, HasId(*p.left, dst), "ID1", VNames(v1), GARG(rb)));
   std::vector<std::pair<std::string, datalog::VarId>> mapping;
-  for (const auto& v : expr_var_names) {
-    if (ContainsVar(v1, v)) mapping.emplace_back(v, rb.VarIdOf(VName(v)));
+  for (const auto& v : SharedVars(ExprVars(*p.condition), v1)) {
+    mapping.emplace_back(v, rb.VarIdOf(VName(v)));
   }
   rb.AssignExpr(rb.Var(VName(p.bind_var)), p.condition, std::move(mapping));
-  if (!dst) {
-    rb.Skolem(rb.Var("ID"), skolems_->InternFunction("f" + std::to_string(i)),
-              rb.PositiveBodyVars());
-  }
   program_.rules.push_back(rb.Build());
-  return TransPattern(*p.left, dst, g, 2 * i);
+  return TransPattern(*p.left, dst, g, child);
 }
 
 // Extension: VALUES — inline data as facts (or rules ranging over named
@@ -171,16 +404,16 @@ Status QueryTranslator::TransBind(const Pattern& p, bool dst, const Ctx& g,
 // null constant.
 Status QueryTranslator::TransValues(const Pattern& p, bool dst, const Ctx& g,
                                     uint64_t i) {
-  std::vector<std::string> head_vars;
-  for (const auto& v : p.Vars()) head_vars.push_back(VName(v));
+  const bool id = HasId(p, dst);
+  const auto& vars = Analyze(p).vars;
   // Column order of values_rows follows values_vars; align to sorted vars.
   std::vector<size_t> col_of;
-  for (const auto& v : p.Vars()) {
+  for (const auto& v : vars) {
     for (size_t c = 0; c < p.values_vars.size(); ++c) {
       if (p.values_vars[c] == v) col_of.push_back(c);
     }
   }
-  uint32_t fn = skolems_->InternFunction("f" + std::to_string(i));
+  uint32_t fn = skolems_->InternFunction(FnName(i));
   for (size_t ri = 0; ri < p.values_rows.size(); ++ri) {
     const auto& row = p.values_rows[ri];
     // Row TID: a Skolem constant over the row index (rows are duplicates-
@@ -191,7 +424,7 @@ Status QueryTranslator::TransValues(const Pattern& p, bool dst, const Ctx& g,
     if (!g.is_var) {
       datalog::Fact fact;
       std::vector<Value> tuple;
-      if (!dst) tuple.push_back(tid);
+      if (id) tuple.push_back(tid);
       for (size_t c : col_of) tuple.push_back(ValueFromTerm(row[c]));
       tuple.push_back(g.constant);
       fact.predicate = program_.predicates.Intern(
@@ -201,7 +434,7 @@ Status QueryTranslator::TransValues(const Pattern& p, bool dst, const Ctx& g,
     } else {
       RuleBuilder rb(&program_.predicates);
       std::vector<RuleTerm> head;
-      if (!dst) head.push_back(RuleBuilder::Const(tid));
+      if (id) head.push_back(RuleBuilder::Const(tid));
       for (size_t c : col_of) {
         head.push_back(RuleBuilder::Const(ValueFromTerm(row[c])));
       }
@@ -213,8 +446,7 @@ Status QueryTranslator::TransValues(const Pattern& p, bool dst, const Ctx& g,
   }
   // Ensure the predicate exists even for empty data blocks.
   program_.predicates.Intern(
-      AnsName(i),
-      static_cast<uint32_t>(head_vars.size()) + (dst ? 1 : 2));
+      AnsName(i), static_cast<uint32_t>(vars.size()) + (id ? 2 : 1));
   return Status::OK();
 }
 
@@ -222,131 +454,81 @@ Status QueryTranslator::TransValues(const Pattern& p, bool dst, const Ctx& g,
 // Def A.7's ans_opt) consumed positively or under negation.
 Status QueryTranslator::TransExistsFilter(const Pattern& p, bool dst,
                                           const Ctx& g, uint64_t i) {
-  auto v1 = p.left->Vars();
-  auto v2 = p.right->Vars();
-  auto shared = SharedVars(v1, v2);
-  needs_comp_ |= !shared.empty();
-
-  std::vector<std::string> p1_vars;
-  for (const auto& v : v1) p1_vars.push_back(VName(v));
+  const uint64_t left = Fresh(), right = Fresh();
+  const Analysis& a1 = Analyze(*p.left);
+  const Analysis& a2 = Analyze(*p.right);
+  const std::vector<std::string> p1_vars = VNames(a1.vars);
   const std::string exists_pred = "ans_exists" + std::to_string(i);
 
   {
+    const auto comp_shared = CompShared(a1, a2);
+    needs_comp_ |= !comp_shared.empty();
     RuleBuilder rb(&program_.predicates);
     std::vector<std::string> right_vars;
-    for (const auto& v : v2) {
-      right_vars.push_back(ContainsVar(shared, v) ? "V2_" + v : VName(v));
+    for (const auto& v : a2.vars) {
+      right_vars.push_back(ContainsVar(comp_shared, v) ? "V2_" + v : VName(v));
     }
     rb.Head(exists_pred, AnsArgs(rb, false, "", p1_vars, GARG(rb)));
-    rb.Body(AnsName(2 * i), AnsArgs(rb, !dst, "ID1", p1_vars, GARG(rb)));
-    rb.Body(AnsName(2 * i + 1),
-            AnsArgs(rb, !dst, "ID2", right_vars, GARG(rb)));
-    for (const auto& x : shared) {
+    rb.Body(AnsName(left),
+            AnsArgs(rb, HasId(*p.left, dst), "ID1", p1_vars, GARG(rb)));
+    rb.Body(AnsName(right),
+            AnsArgs(rb, HasId(*p.right, dst), "ID2", right_vars, GARG(rb)));
+    for (const auto& x : comp_shared) {
       rb.Body("comp", {rb.Var(VName(x)), rb.Var("V2_" + x), rb.Var("Z_" + x)});
     }
     program_.rules.push_back(rb.Build());
   }
   {
+    // A subset of the left side: its IDs carry over.
     RuleBuilder rb(&program_.predicates);
-    rb.Head(AnsName(i), AnsArgs(rb, !dst, "ID", p1_vars, GARG(rb)));
-    rb.Body(AnsName(2 * i), AnsArgs(rb, !dst, "ID1", p1_vars, GARG(rb)));
+    rb.Head(AnsName(i), AnsArgs(rb, HasId(p, dst), "ID1", p1_vars, GARG(rb)));
+    rb.Body(AnsName(left),
+            AnsArgs(rb, HasId(*p.left, dst), "ID1", p1_vars, GARG(rb)));
     if (p.exists_negated) {
       rb.NegBody(exists_pred, AnsArgs(rb, false, "", p1_vars, GARG(rb)));
     } else {
       rb.Body(exists_pred, AnsArgs(rb, false, "", p1_vars, GARG(rb)));
     }
-    if (!dst) {
-      rb.Skolem(rb.Var("ID"),
-                skolems_->InternFunction("f" + std::to_string(i)),
-                rb.PositiveBodyVars());
-    }
     program_.rules.push_back(rb.Build());
   }
-  SPARQLOG_RETURN_NOT_OK(TransPattern(*p.left, dst, g, 2 * i));
-  return TransPattern(*p.right, dst, g, 2 * i + 1);
-}
-
-// Definition A.3 (Triple).
-Status QueryTranslator::TransTriple(const Pattern& p, bool dst, const Ctx& g,
-                                    uint64_t i) {
-  std::vector<std::string> vars;
-  for (const auto& v : p.Vars()) vars.push_back(VName(v));
-  RuleBuilder rb(&program_.predicates);
-  rb.Head(AnsName(i), AnsArgs(rb, !dst, "ID", vars, GARG(rb)));
-  rb.Body(triple_pred_, {TV(rb, p.s), TV(rb, p.p), TV(rb, p.o), GARG(rb)});
-  if (!dst) {
-    rb.Skolem(rb.Var("ID"), skolems_->InternFunction("f" + std::to_string(i)),
-              rb.PositiveBodyVars());
-  }
-  program_.rules.push_back(rb.Build());
-  return Status::OK();
-}
-
-// Definition A.5 (Join).
-Status QueryTranslator::TransJoin(const Pattern& p, bool dst, const Ctx& g,
-                                  uint64_t i) {
-  auto v1 = p.left->Vars();
-  auto v2 = p.right->Vars();
-  auto shared = SharedVars(v1, v2);
-  auto all = UnionVars(v1, v2);
-  needs_comp_ |= !shared.empty();
-
-  RuleBuilder rb(&program_.predicates);
-  std::vector<std::string> head_vars, left_vars, right_vars;
-  for (const auto& v : all) head_vars.push_back(VName(v));
-  for (const auto& v : v1) {
-    left_vars.push_back(ContainsVar(shared, v) ? "V1_" + v : VName(v));
-  }
-  for (const auto& v : v2) {
-    right_vars.push_back(ContainsVar(shared, v) ? "V2_" + v : VName(v));
-  }
-  rb.Head(AnsName(i), AnsArgs(rb, !dst, "ID", head_vars, GARG(rb)));
-  rb.Body(AnsName(2 * i), AnsArgs(rb, !dst, "ID1", left_vars, GARG(rb)));
-  rb.Body(AnsName(2 * i + 1), AnsArgs(rb, !dst, "ID2", right_vars, GARG(rb)));
-  for (const auto& x : shared) {
-    rb.Body("comp", {rb.Var("V1_" + x), rb.Var("V2_" + x), rb.Var(VName(x))});
-  }
-  if (!dst) {
-    rb.Skolem(rb.Var("ID"), skolems_->InternFunction("f" + std::to_string(i)),
-              rb.PositiveBodyVars());
-  }
-  program_.rules.push_back(rb.Build());
-
-  SPARQLOG_RETURN_NOT_OK(TransPattern(*p.left, dst, g, 2 * i));
-  return TransPattern(*p.right, dst, g, 2 * i + 1);
+  SPARQLOG_RETURN_NOT_OK(TransPattern(*p.left, dst, g, left));
+  return TransPattern(*p.right, dst, g, right);
 }
 
 // Definition A.6 (Union).
 Status QueryTranslator::TransUnion(const Pattern& p, bool dst, const Ctx& g,
                                    uint64_t i) {
-  auto v1 = p.left->Vars();
-  auto v2 = p.right->Vars();
-  auto all = UnionVars(v1, v2);
-  std::vector<std::string> head_vars;
-  for (const auto& v : all) head_vars.push_back(VName(v));
+  const uint64_t left = Fresh(), right = Fresh();
+  const auto& all = Analyze(p).vars;
+  const std::vector<std::string> head_vars = VNames(all);
 
-  auto emit = [&](const std::vector<std::string>& child_vars, uint64_t child,
-                  const char* suffix) {
+  auto emit = [&](const Pattern& child_p, uint64_t child,
+                  const char* suffix) -> Status {
+    const auto& child_vars = Analyze(child_p).vars;
+    const bool child_id = HasId(child_p, dst);
     RuleBuilder rb(&program_.predicates);
-    std::vector<std::string> body_vars;
-    for (const auto& v : child_vars) body_vars.push_back(VName(v));
-    rb.Head(AnsName(i), AnsArgs(rb, !dst, "ID", head_vars, GARG(rb)));
-    rb.Body(AnsName(child), AnsArgs(rb, !dst, "ID1", body_vars, GARG(rb)));
+    rb.Head(AnsName(i), AnsArgs(rb, HasId(p, dst), "ID", head_vars, GARG(rb)));
+    if (HasId(p, dst) && !child_id) {
+      SPARQLOG_ASSIGN_OR_RETURN(Value tag, BranchTag(i, suffix));
+      rb.Eq(rb.Var("ID"), RuleBuilder::Const(tag));
+    }
+    rb.Body(AnsName(child),
+            AnsArgs(rb, child_id, "ID1", VNames(child_vars), GARG(rb)));
     for (const auto& missing : DiffVars(all, child_vars)) {
       rb.Body("null", {rb.Var(VName(missing))});
     }
-    if (!dst) {
-      rb.Skolem(rb.Var("ID"),
-                skolems_->InternFunction("f" + std::to_string(i) + suffix),
+    if (HasId(p, dst) && child_id) {
+      rb.Skolem(rb.Var("ID"), skolems_->InternFunction(FnName(i, suffix)),
                 rb.PositiveBodyVars());
     }
     program_.rules.push_back(rb.Build());
+    return Status::OK();
   };
-  emit(v1, 2 * i, "a");
-  emit(v2, 2 * i + 1, "b");
+  SPARQLOG_RETURN_NOT_OK(emit(*p.left, left, "a"));
+  SPARQLOG_RETURN_NOT_OK(emit(*p.right, right, "b"));
 
-  SPARQLOG_RETURN_NOT_OK(TransPattern(*p.left, dst, g, 2 * i));
-  return TransPattern(*p.right, dst, g, 2 * i + 1);
+  SPARQLOG_RETURN_NOT_OK(TransPattern(*p.left, dst, g, left));
+  return TransPattern(*p.right, dst, g, right);
 }
 
 // Definitions A.7 (Optional) and A.9 (Optional Filter).
@@ -361,34 +543,41 @@ Status QueryTranslator::TransOptional(const Pattern& p, bool dst,
     condition = p2->condition;
     p2 = p2->left.get();
   }
+  const uint64_t left = Fresh(), right = Fresh();
 
-  auto v1 = p.left->Vars();
-  auto v2 = p2->Vars();
-  auto shared = SharedVars(v1, v2);
-  auto all = UnionVars(v1, v2);
+  const Analysis& a1 = Analyze(*p.left);
+  const Analysis& a2 = Analyze(*p2);
+  const auto& v1 = a1.vars;
+  const auto& v2 = a2.vars;
+  const bool id = HasId(p, dst);
+  const bool id1 = HasId(*p.left, dst);
+  const bool id2 = HasId(*p2, dst);
+  const auto comp_shared = CompShared(a1, a2);
   auto only2 = DiffVars(v2, v1);
-  needs_comp_ |= !shared.empty();
+  needs_comp_ |= !comp_shared.empty();
+  // Without comp and with a duplicate-free right side, a P1 tuple's ID
+  // and the head variables identify both the join and the unmatched row.
+  const bool pass_id = comp_shared.empty() && !id2;
+  const std::string head_id = pass_id ? "ID1" : "ID";
 
-  std::vector<std::string> head_vars, p1_vars;
-  for (const auto& v : all) head_vars.push_back(VName(v));
-  for (const auto& v : v1) p1_vars.push_back(VName(v));
+  const std::vector<std::string> head_vars = VNames(Analyze(p).vars);
+  const std::vector<std::string> p1_vars = VNames(v1);
+  std::vector<std::string> right_vars;
+  for (const auto& v : v2) {
+    right_vars.push_back(ContainsVar(comp_shared, v) ? "V2_" + v : VName(v));
+  }
   const std::string opt_pred = "ans_opt" + std::to_string(i);
 
-  // Builds the filter-expression literal over a rule, mapping shared
-  // variables to `shared_name(x)` and everything else to V_<x>.
+  // Builds the filter-expression literal over a rule, mapping comp-joined
+  // variables to `comp_name(x)` and everything else to V_<x>.
   auto add_condition =
       [&](RuleBuilder& rb,
-          const std::function<std::string(const std::string&)>& shared_name) {
+          const std::function<std::string(const std::string&)>& comp_name) {
         if (!condition) return;
-        std::vector<std::string> cond_vars;
-        condition->CollectVars(&cond_vars);
-        std::sort(cond_vars.begin(), cond_vars.end());
-        cond_vars.erase(std::unique(cond_vars.begin(), cond_vars.end()),
-                        cond_vars.end());
         std::vector<std::pair<std::string, datalog::VarId>> mapping;
-        for (const auto& v : cond_vars) {
-          if (ContainsVar(shared, v)) {
-            mapping.emplace_back(v, rb.VarIdOf(shared_name(v)));
+        for (const auto& v : ExprVars(*condition)) {
+          if (ContainsVar(comp_shared, v)) {
+            mapping.emplace_back(v, rb.VarIdOf(comp_name(v)));
           } else if (ContainsVar(v1, v) || ContainsVar(v2, v)) {
             mapping.emplace_back(v, rb.VarIdOf(VName(v)));
           }
@@ -401,15 +590,10 @@ Status QueryTranslator::TransOptional(const Pattern& p, bool dst,
   // (and, in the Optional-Filter case, satisfying C on the join).
   {
     RuleBuilder rb(&program_.predicates);
-    std::vector<std::string> right_vars;
-    for (const auto& v : v2) {
-      right_vars.push_back(ContainsVar(shared, v) ? "V2_" + v : VName(v));
-    }
     rb.Head(opt_pred, AnsArgs(rb, false, "", p1_vars, GARG(rb)));
-    rb.Body(AnsName(2 * i), AnsArgs(rb, !dst, "ID1", p1_vars, GARG(rb)));
-    rb.Body(AnsName(2 * i + 1),
-            AnsArgs(rb, !dst, "ID2", right_vars, GARG(rb)));
-    for (const auto& x : shared) {
+    rb.Body(AnsName(left), AnsArgs(rb, id1, "ID1", p1_vars, GARG(rb)));
+    rb.Body(AnsName(right), AnsArgs(rb, id2, "ID2", right_vars, GARG(rb)));
+    for (const auto& x : comp_shared) {
       rb.Body("comp", {rb.Var(VName(x)), rb.Var("V2_" + x), rb.Var("Z_" + x)});
     }
     add_condition(rb, [](const std::string& x) { return "Z_" + x; });
@@ -419,25 +603,20 @@ Status QueryTranslator::TransOptional(const Pattern& p, bool dst,
   // Rule 2: the join part (as in Definition A.5), plus C if present.
   {
     RuleBuilder rb(&program_.predicates);
-    std::vector<std::string> left_vars, right_vars;
+    std::vector<std::string> left_vars;
     for (const auto& v : v1) {
-      left_vars.push_back(ContainsVar(shared, v) ? "V1_" + v : VName(v));
+      left_vars.push_back(ContainsVar(comp_shared, v) ? "V1_" + v : VName(v));
     }
-    for (const auto& v : v2) {
-      right_vars.push_back(ContainsVar(shared, v) ? "V2_" + v : VName(v));
-    }
-    rb.Head(AnsName(i), AnsArgs(rb, !dst, "ID", head_vars, GARG(rb)));
-    rb.Body(AnsName(2 * i), AnsArgs(rb, !dst, "ID1", left_vars, GARG(rb)));
-    rb.Body(AnsName(2 * i + 1),
-            AnsArgs(rb, !dst, "ID2", right_vars, GARG(rb)));
-    for (const auto& x : shared) {
+    rb.Head(AnsName(i), AnsArgs(rb, id, head_id, head_vars, GARG(rb)));
+    rb.Body(AnsName(left), AnsArgs(rb, id1, "ID1", left_vars, GARG(rb)));
+    rb.Body(AnsName(right), AnsArgs(rb, id2, "ID2", right_vars, GARG(rb)));
+    for (const auto& x : comp_shared) {
       rb.Body("comp",
               {rb.Var("V1_" + x), rb.Var("V2_" + x), rb.Var(VName(x))});
     }
     add_condition(rb, [](const std::string& x) { return VName(x); });
-    if (!dst) {
-      rb.Skolem(rb.Var("ID"),
-                skolems_->InternFunction("f" + std::to_string(i) + "a"),
+    if (id && !pass_id) {
+      rb.Skolem(rb.Var("ID"), skolems_->InternFunction(FnName(i, "a")),
                 rb.PositiveBodyVars());
     }
     program_.rules.push_back(rb.Build());
@@ -447,60 +626,67 @@ Status QueryTranslator::TransOptional(const Pattern& p, bool dst,
   // are set to null.
   {
     RuleBuilder rb(&program_.predicates);
-    rb.Head(AnsName(i), AnsArgs(rb, !dst, "ID", head_vars, GARG(rb)));
-    rb.Body(AnsName(2 * i), AnsArgs(rb, !dst, "ID1", p1_vars, GARG(rb)));
+    rb.Head(AnsName(i), AnsArgs(rb, id, head_id, head_vars, GARG(rb)));
+    rb.Body(AnsName(left), AnsArgs(rb, id1, "ID1", p1_vars, GARG(rb)));
     rb.NegBody(opt_pred, AnsArgs(rb, false, "", p1_vars, GARG(rb)));
     for (const auto& y : only2) rb.Body("null", {rb.Var(VName(y))});
-    if (!dst) {
-      rb.Skolem(rb.Var("ID"),
-                skolems_->InternFunction("f" + std::to_string(i) + "b"),
+    if (id && !pass_id) {
+      rb.Skolem(rb.Var("ID"), skolems_->InternFunction(FnName(i, "b")),
                 rb.PositiveBodyVars());
     }
     program_.rules.push_back(rb.Build());
   }
 
-  SPARQLOG_RETURN_NOT_OK(TransPattern(*p.left, dst, g, 2 * i));
-  return TransPattern(*p2, dst, g, 2 * i + 1);
+  SPARQLOG_RETURN_NOT_OK(TransPattern(*p.left, dst, g, left));
+  return TransPattern(*p2, dst, g, right);
 }
 
 // Definition A.10 (Minus).
 Status QueryTranslator::TransMinus(const Pattern& p, bool dst, const Ctx& g,
                                    uint64_t i) {
-  auto v1 = p.left->Vars();
-  auto v2 = p.right->Vars();
-  auto shared = SharedVars(v1, v2);
-  needs_comp_ |= !shared.empty();
+  const uint64_t left = Fresh(), right = Fresh();
+  const Analysis& a1 = Analyze(*p.left);
+  const Analysis& a2 = Analyze(*p.right);
+  auto shared = SharedVars(a1.vars, a2.vars);
 
-  std::vector<std::string> p1_vars;
-  for (const auto& v : v1) p1_vars.push_back(VName(v));
+  const std::vector<std::string> p1_vars = VNames(a1.vars);
   const std::string join_pred = "ans_join" + std::to_string(i);
   const std::string equal_pred = "ans_equal" + std::to_string(i);
 
-  // Layout of ans_join<i>: var(P1) + v2(shared) — enough to check the
-  // "same value on some common variable" condition.
+  // Layout of ans_join<i>: var(P1) + the right side's value of each shared
+  // variable — enough to check the "same value on some common variable"
+  // condition. A variable certainly bound on both sides is joined
+  // directly, so its right-side value is its left-side one.
+  const auto comp_shared = CompShared(a1, a2);
+  needs_comp_ |= !comp_shared.empty();
   std::vector<std::string> join_layout = p1_vars;
-  for (const auto& x : shared) join_layout.push_back("V2_" + x);
+  for (const auto& x : shared) {
+    join_layout.push_back(ContainsVar(comp_shared, x) ? "V2_" + x : VName(x));
+  }
 
   if (!shared.empty()) {
     RuleBuilder rb(&program_.predicates);
     std::vector<std::string> right_vars;
-    for (const auto& v : v2) {
-      right_vars.push_back(ContainsVar(shared, v) ? "V2_" + v : VName(v));
+    for (const auto& v : a2.vars) {
+      right_vars.push_back(ContainsVar(comp_shared, v) ? "V2_" + v : VName(v));
     }
     rb.Head(join_pred, AnsArgs(rb, false, "", join_layout, GARG(rb)));
-    rb.Body(AnsName(2 * i), AnsArgs(rb, !dst, "ID1", p1_vars, GARG(rb)));
-    rb.Body(AnsName(2 * i + 1),
-            AnsArgs(rb, !dst, "ID2", right_vars, GARG(rb)));
-    for (const auto& x : shared) {
+    rb.Body(AnsName(left),
+            AnsArgs(rb, HasId(*p.left, dst), "ID1", p1_vars, GARG(rb)));
+    rb.Body(AnsName(right),
+            AnsArgs(rb, HasId(*p.right, dst), "ID2", right_vars, GARG(rb)));
+    for (const auto& x : comp_shared) {
       rb.Body("comp", {rb.Var(VName(x)), rb.Var("V2_" + x), rb.Var("Z_" + x)});
     }
     program_.rules.push_back(rb.Build());
 
     // One ans_equal rule per shared variable: both sides bound and equal.
+    std::vector<std::string> equal_layout = p1_vars;
+    for (const auto& x : shared) equal_layout.push_back("V2_" + x);
     for (const auto& x : shared) {
       RuleBuilder req(&program_.predicates);
       req.Head(equal_pred, AnsArgs(req, false, "", p1_vars, GARG(req)));
-      req.Body(join_pred, AnsArgs(req, false, "", join_layout, GARG(req)));
+      req.Body(join_pred, AnsArgs(req, false, "", equal_layout, GARG(req)));
       req.Eq(req.Var(VName(x)), req.Var("V2_" + x));
       req.NegBody("null", {req.Var(VName(x))});
       program_.rules.push_back(req.Build());
@@ -513,52 +699,22 @@ Status QueryTranslator::TransMinus(const Pattern& p, bool dst, const Ctx& g,
                                static_cast<uint32_t>(p1_vars.size()) + 1);
   }
 
+  // A subset of the left side: its IDs carry over.
   RuleBuilder rb(&program_.predicates);
-  rb.Head(AnsName(i), AnsArgs(rb, !dst, "ID", p1_vars, GARG(rb)));
-  rb.Body(AnsName(2 * i), AnsArgs(rb, !dst, "ID1", p1_vars, GARG(rb)));
+  rb.Head(AnsName(i), AnsArgs(rb, HasId(p, dst), "ID1", p1_vars, GARG(rb)));
+  rb.Body(AnsName(left),
+          AnsArgs(rb, HasId(*p.left, dst), "ID1", p1_vars, GARG(rb)));
   rb.NegBody(equal_pred, AnsArgs(rb, false, "", p1_vars, GARG(rb)));
-  if (!dst) {
-    rb.Skolem(rb.Var("ID"), skolems_->InternFunction("f" + std::to_string(i)),
-              rb.PositiveBodyVars());
-  }
   program_.rules.push_back(rb.Build());
 
-  SPARQLOG_RETURN_NOT_OK(TransPattern(*p.left, dst, g, 2 * i));
-  return TransPattern(*p.right, dst, g, 2 * i + 1);
-}
-
-// Definition A.8 (Filter): the condition is copied into the rule body and
-// evaluated by the engine's expression builtin (§5.1).
-Status QueryTranslator::TransFilter(const Pattern& p, bool dst, const Ctx& g,
-                                    uint64_t i) {
-  auto v1 = p.left->Vars();
-  std::vector<std::string> p1_vars;
-  for (const auto& v : v1) p1_vars.push_back(VName(v));
-
-  RuleBuilder rb(&program_.predicates);
-  rb.Head(AnsName(i), AnsArgs(rb, !dst, "ID", p1_vars, GARG(rb)));
-  rb.Body(AnsName(2 * i), AnsArgs(rb, !dst, "ID1", p1_vars, GARG(rb)));
-  std::vector<std::string> cond_vars;
-  p.condition->CollectVars(&cond_vars);
-  std::sort(cond_vars.begin(), cond_vars.end());
-  cond_vars.erase(std::unique(cond_vars.begin(), cond_vars.end()),
-                  cond_vars.end());
-  std::vector<std::pair<std::string, datalog::VarId>> mapping;
-  for (const auto& v : cond_vars) {
-    if (ContainsVar(v1, v)) mapping.emplace_back(v, rb.VarIdOf(VName(v)));
-  }
-  rb.Filter(p.condition, std::move(mapping));
-  if (!dst) {
-    rb.Skolem(rb.Var("ID"), skolems_->InternFunction("f" + std::to_string(i)),
-              rb.PositiveBodyVars());
-  }
-  program_.rules.push_back(rb.Build());
-  return TransPattern(*p.left, dst, g, 2 * i);
+  SPARQLOG_RETURN_NOT_OK(TransPattern(*p.left, dst, g, left));
+  return TransPattern(*p.right, dst, g, right);
 }
 
 // Definition A.4 (Graph).
 Status QueryTranslator::TransGraph(const Pattern& p, bool dst, const Ctx& g,
                                    uint64_t i) {
+  const uint64_t child = Fresh();
   Ctx inner;
   if (p.graph.is_var) {
     inner.is_var = true;
@@ -567,48 +723,20 @@ Status QueryTranslator::TransGraph(const Pattern& p, bool dst, const Ctx& g,
     inner.constant = ValueFromTerm(p.graph.term);
   }
 
-  std::vector<std::string> head_vars;
-  for (const auto& v : p.Vars()) head_vars.push_back(VName(v));
-  std::vector<std::string> inner_vars;
-  for (const auto& v : p.left->Vars()) inner_vars.push_back(VName(v));
-
   RuleBuilder rb(&program_.predicates);
   RuleTerm inner_term = inner.is_var ? rb.Var(inner.var)
                                      : RuleBuilder::Const(inner.constant);
-  rb.Head(AnsName(i), AnsArgs(rb, !dst, "ID", head_vars, GARG(rb)));
-  rb.Body(AnsName(2 * i), AnsArgs(rb, !dst, "ID1", inner_vars, inner_term));
+  // The child's ID carries over: a graph variable is a head column.
+  rb.Head(AnsName(i),
+          AnsArgs(rb, HasId(p, dst), "ID1", VNames(Analyze(p).vars), GARG(rb)));
+  rb.Body(AnsName(child), AnsArgs(rb, HasId(*p.left, dst), "ID1",
+                                  VNames(Analyze(*p.left).vars), inner_term));
   rb.Body("named", {inner_term});
   // If the *outer* context is itself a variable (nested GRAPH), range over
   // named graphs to keep the rule safe; the enclosing rule joins on it.
   if (g.is_var) rb.Body("named", {rb.Var(g.var)});
-  if (!dst) {
-    rb.Skolem(rb.Var("ID"), skolems_->InternFunction("f" + std::to_string(i)),
-              rb.PositiveBodyVars());
-  }
   program_.rules.push_back(rb.Build());
-  return TransPattern(*p.left, dst, inner, 2 * i);
-}
-
-// Definition A.11 (Property Path Pattern).
-Status QueryTranslator::TransPathPattern(const Pattern& p, bool dst,
-                                         const Ctx& g, uint64_t i) {
-  std::vector<std::string> head_vars;
-  for (const auto& v : p.Vars()) head_vars.push_back(VName(v));
-
-  RuleBuilder rb(&program_.predicates);
-  rb.Head(AnsName(i), AnsArgs(rb, !dst, "ID", head_vars, GARG(rb)));
-  std::vector<RuleTerm> body{};
-  if (!dst) body.push_back(rb.Var("ID1"));
-  body.push_back(TV(rb, p.s));
-  body.push_back(TV(rb, p.o));
-  body.push_back(GARG(rb));
-  rb.Body(AnsName(2 * i), std::move(body));
-  if (!dst) {
-    rb.Skolem(rb.Var("ID"), skolems_->InternFunction("f" + std::to_string(i)),
-              rb.PositiveBodyVars());
-  }
-  program_.rules.push_back(rb.Build());
-  return TransPath(*p.path, dst, p.s, p.o, g, 2 * i, /*top=*/true);
+  return TransPattern(*p.left, dst, inner, child);
 }
 
 // Definitions A.12-A.20 (property path expressions) plus the counted-path
@@ -621,24 +749,30 @@ Status QueryTranslator::TransPath(const Path& pp, bool dst, const TermOrVar& S,
   const bool seed_o = top && seed_constants_ && S.is_var && !O.is_var;
   const Value seed_s_val = seed_s ? ValueFromTerm(S.term) : 0;
   const Value seed_o_val = seed_o ? ValueFromTerm(O.term) : 0;
+  // A set-typed path carries no ID, and neither does its subtree: the
+  // node consumes its children as sets.
+  const bool id = !dst && !PathIsSet(pp);
+  const bool sub_dst = dst || PathIsSet(pp);
+  auto child_id = [&](const Path& child) {
+    return !sub_dst && !PathIsSet(child);
+  };
   // All pp predicates have layout [ID] X Y D (bag) or X Y D (set).
-  auto pp_args = [&](RuleBuilder& rb, const std::string& id,
+  auto pp_args = [&](RuleBuilder& rb, bool with_id, const std::string& id_var,
                      const std::string& x, const std::string& y) {
     std::vector<RuleTerm> out;
-    if (!dst) out.push_back(rb.Var(id));
+    if (with_id) out.push_back(rb.Var(id_var));
     out.push_back(rb.Var(x));
     out.push_back(rb.Var(y));
     out.push_back(GARG(rb));
     return out;
   };
   auto add_fresh_id = [&](RuleBuilder& rb, const char* suffix) {
-    if (dst) return;
-    rb.Skolem(rb.Var("ID"),
-              skolems_->InternFunction("f" + std::to_string(i) + suffix),
+    if (!id) return;
+    rb.Skolem(rb.Var("ID"), skolems_->InternFunction(FnName(i, suffix)),
               rb.PositiveBodyVars());
   };
   auto add_empty_id = [&](RuleBuilder& rb) {
-    if (dst) return;
+    if (!id) return;
     rb.Eq(rb.Var("ID"), RuleBuilder::Const(empty_skolem_));
   };
   // Zero-length rules shared by ?, *, {0}, {0,n} (Defs A.17-A.19). When a
@@ -647,7 +781,7 @@ Status QueryTranslator::TransPath(const Path& pp, bool dst, const TermOrVar& S,
   auto add_zero_rules = [&]() {
     if (!(top && (!S.is_var || !O.is_var))) {
       RuleBuilder rb(&program_.predicates);
-      rb.Head(AnsName(i), pp_args(rb, "ID", "X", "X"));
+      rb.Head(AnsName(i), pp_args(rb, id, "ID", "X", "X"));
       rb.Body(so_pred_, {rb.Var("X"), GARG(rb)});
       add_empty_id(rb);
       program_.rules.push_back(rb.Build());
@@ -669,7 +803,7 @@ Status QueryTranslator::TransPath(const Path& pp, bool dst, const TermOrVar& S,
     if (have_const) {
       RuleBuilder rb(&program_.predicates);
       std::vector<RuleTerm> head;
-      if (!dst) head.push_back(rb.Var("ID"));
+      if (id) head.push_back(rb.Var("ID"));
       head.push_back(RuleBuilder::Const(t));
       head.push_back(RuleBuilder::Const(t));
       head.push_back(GARG(rb));
@@ -679,113 +813,121 @@ Status QueryTranslator::TransPath(const Path& pp, bool dst, const TermOrVar& S,
       program_.rules.push_back(rb.Build());
     }
   };
-  // One rule with a chain of `n` child atoms: ans_i(X0, Xn).
-  auto add_chain_rule = [&](uint32_t n, bool set_id, const char* suffix) {
+  // Children of this node, numbered on first use.
+  uint64_t first_child = 0, second_child = 0;
+  auto child = [&](int which) {
+    uint64_t& c = which == 0 ? first_child : second_child;
+    if (c == 0) c = Fresh();
+    return c;
+  };
+  // One rule with a chain of `n` child atoms: ans_i(X0, Xn). The set
+  // paths seed it with a constant endpoint; `{n}` mints a fresh ID.
+  auto add_chain_rule = [&](uint32_t n) {
     RuleBuilder rb(&program_.predicates);
-    rb.Head(AnsName(i), pp_args(rb, "ID", "X0", "X" + std::to_string(n)));
+    rb.Head(AnsName(i), pp_args(rb, id, "ID", "X0", "X" + std::to_string(n)));
     for (uint32_t k = 0; k < n; ++k) {
-      rb.Body(AnsName(2 * i),
-              pp_args(rb, "ID" + std::to_string(k + 1),
+      rb.Body(AnsName(child(0)),
+              pp_args(rb, child_id(*pp.left), "ID" + std::to_string(k + 1),
                       "X" + std::to_string(k), "X" + std::to_string(k + 1)));
     }
-    if (set_id && seed_s) {
-      rb.Eq(rb.Var("X0"), RuleBuilder::Const(seed_s_val));
-    }
-    if (set_id && seed_o) {
+    if (seed_s) rb.Eq(rb.Var("X0"), RuleBuilder::Const(seed_s_val));
+    if (seed_o) {
       rb.Eq(rb.Var("X" + std::to_string(n)), RuleBuilder::Const(seed_o_val));
     }
-    if (set_id) {
-      add_empty_id(rb);
+    add_fresh_id(rb, "");
+    program_.rules.push_back(rb.Build());
+  };
+  // Transitive step: ans_i(X,Z) :- ans_i(X,Y), ans_c(Y,Z).
+  auto add_closure_rule = [&]() {
+    RuleBuilder rb(&program_.predicates);
+    rb.Head(AnsName(i), pp_args(rb, false, "", "X", "Z"));
+    if (seed_o) {
+      // Backward seeding: grow paths toward the constant object.
+      rb.Body(AnsName(child(0)), pp_args(rb, false, "", "X", "Y"));
+      rb.Body(AnsName(i), pp_args(rb, false, "", "Y", "Z"));
     } else {
-      add_fresh_id(rb, suffix);
+      rb.Body(AnsName(i), pp_args(rb, false, "", "X", "Y"));
+      rb.Body(AnsName(child(0)), pp_args(rb, false, "", "Y", "Z"));
     }
     program_.rules.push_back(rb.Build());
   };
-  // Transitive step: ans_i(X,Z) :- ans_i(X,Y), ans_2i(Y,Z), ID = [].
-  auto add_closure_rule = [&]() {
-    RuleBuilder rb(&program_.predicates);
-    rb.Head(AnsName(i), pp_args(rb, "ID", "X", "Z"));
-    if (seed_o) {
-      // Backward seeding: grow paths toward the constant object.
-      rb.Body(AnsName(2 * i), pp_args(rb, "ID2", "X", "Y"));
-      rb.Body(AnsName(i), pp_args(rb, "ID1", "Y", "Z"));
-    } else {
-      rb.Body(AnsName(i), pp_args(rb, "ID1", "X", "Y"));
-      rb.Body(AnsName(2 * i), pp_args(rb, "ID2", "Y", "Z"));
-    }
-    add_empty_id(rb);
-    program_.rules.push_back(rb.Build());
+
+  // The single child of a unary path node, translated as this node's
+  // first child.
+  auto recurse = [&](const Path& c, int which) {
+    return TransPath(c, sub_dst, S, O, g, child(which), false);
   };
 
   switch (pp.kind) {
     case PathKind::kLink: {
       RuleBuilder rb(&program_.predicates);
-      rb.Head(AnsName(i), pp_args(rb, "ID", "X", "Y"));
+      rb.Head(AnsName(i), pp_args(rb, id, "ID", "X", "Y"));
       rb.Body(triple_pred_, {rb.Var("X"), RuleBuilder::Const(
                                               ValueFromTerm(pp.iri)),
                              rb.Var("Y"), GARG(rb)});
-      add_fresh_id(rb, "");
       program_.rules.push_back(rb.Build());
       return Status::OK();
     }
     case PathKind::kInverse: {
+      // Bag exactly when the child is: its ID carries over.
       RuleBuilder rb(&program_.predicates);
-      rb.Head(AnsName(i), pp_args(rb, "ID", "X", "Y"));
-      rb.Body(AnsName(2 * i), pp_args(rb, "ID1", "Y", "X"));
-      add_fresh_id(rb, "");
+      rb.Head(AnsName(i), pp_args(rb, id, "ID1", "X", "Y"));
+      rb.Body(AnsName(child(0)),
+              pp_args(rb, child_id(*pp.left), "ID1", "Y", "X"));
       program_.rules.push_back(rb.Build());
-      return TransPath(*pp.left, dst, S, O, g, 2 * i, false);
+      return recurse(*pp.left, 0);
     }
     case PathKind::kAlternative: {
-      for (uint64_t child : {2 * i, 2 * i + 1}) {
+      for (int which : {0, 1}) {
+        const Path& c = which == 0 ? *pp.left : *pp.right;
+        const char* suffix = which == 0 ? "a" : "b";
         RuleBuilder rb(&program_.predicates);
-        rb.Head(AnsName(i), pp_args(rb, "ID", "X", "Y"));
-        rb.Body(AnsName(child), pp_args(rb, "ID1", "X", "Y"));
-        add_fresh_id(rb, child == 2 * i ? "a" : "b");
+        rb.Head(AnsName(i), pp_args(rb, id, "ID", "X", "Y"));
+        if (id && !child_id(c)) {
+          SPARQLOG_ASSIGN_OR_RETURN(Value tag, BranchTag(i, suffix));
+          rb.Eq(rb.Var("ID"), RuleBuilder::Const(tag));
+        }
+        rb.Body(AnsName(child(which)), pp_args(rb, child_id(c), "ID1", "X", "Y"));
+        if (child_id(c)) add_fresh_id(rb, suffix);
         program_.rules.push_back(rb.Build());
       }
-      SPARQLOG_RETURN_NOT_OK(TransPath(*pp.left, dst, S, O, g, 2 * i, false));
-      return TransPath(*pp.right, dst, S, O, g, 2 * i + 1, false);
+      SPARQLOG_RETURN_NOT_OK(recurse(*pp.left, 0));
+      return recurse(*pp.right, 1);
     }
     case PathKind::kSequence: {
       RuleBuilder rb(&program_.predicates);
-      rb.Head(AnsName(i), pp_args(rb, "ID", "X", "Z"));
-      rb.Body(AnsName(2 * i), pp_args(rb, "ID1", "X", "Y"));
-      {
-        std::vector<RuleTerm> right;
-        if (!dst) right.push_back(rb.Var("ID2"));
-        right.push_back(rb.Var("Y"));
-        right.push_back(rb.Var("Z"));
-        right.push_back(GARG(rb));
-        rb.Body(AnsName(2 * i + 1), std::move(right));
-      }
+      rb.Head(AnsName(i), pp_args(rb, id, "ID", "X", "Z"));
+      rb.Body(AnsName(child(0)),
+              pp_args(rb, child_id(*pp.left), "ID1", "X", "Y"));
+      rb.Body(AnsName(child(1)),
+              pp_args(rb, child_id(*pp.right), "ID2", "Y", "Z"));
       add_fresh_id(rb, "");
       program_.rules.push_back(rb.Build());
-      SPARQLOG_RETURN_NOT_OK(TransPath(*pp.left, dst, S, O, g, 2 * i, false));
-      return TransPath(*pp.right, dst, S, O, g, 2 * i + 1, false);
+      SPARQLOG_RETURN_NOT_OK(recurse(*pp.left, 0));
+      return recurse(*pp.right, 1);
     }
     case PathKind::kOneOrMore: {
-      add_chain_rule(1, /*set_id=*/true, "");
+      add_chain_rule(1);
       add_closure_rule();
-      return TransPath(*pp.left, dst, S, O, g, 2 * i, false);
+      return recurse(*pp.left, 0);
     }
     case PathKind::kZeroOrOne: {
       add_zero_rules();
-      add_chain_rule(1, /*set_id=*/true, "");
-      return TransPath(*pp.left, dst, S, O, g, 2 * i, false);
+      add_chain_rule(1);
+      return recurse(*pp.left, 0);
     }
     case PathKind::kZeroOrMore: {
       add_zero_rules();
-      add_chain_rule(1, /*set_id=*/true, "");
+      add_chain_rule(1);
       add_closure_rule();
-      return TransPath(*pp.left, dst, S, O, g, 2 * i, false);
+      return recurse(*pp.left, 0);
     }
     case PathKind::kNegated: {
       // Definition A.20, restricted to the components that exist (W3C
       // decomposition; see header note).
       if (!pp.neg_fwd.empty()) {
         RuleBuilder rb(&program_.predicates);
-        rb.Head(AnsName(i), pp_args(rb, "ID", "X", "Y"));
+        rb.Head(AnsName(i), pp_args(rb, id, "ID", "X", "Y"));
         rb.Body(triple_pred_, {rb.Var("X"), rb.Var("P"), rb.Var("Y"),
                                GARG(rb)});
         for (rdf::TermId p : pp.neg_fwd) {
@@ -796,7 +938,7 @@ Status QueryTranslator::TransPath(const Path& pp, bool dst, const TermOrVar& S,
       }
       if (!pp.neg_bwd.empty()) {
         RuleBuilder rb(&program_.predicates);
-        rb.Head(AnsName(i), pp_args(rb, "ID", "X", "Y"));
+        rb.Head(AnsName(i), pp_args(rb, id, "ID", "X", "Y"));
         rb.Body(triple_pred_, {rb.Var("Y"), rb.Var("P"), rb.Var("X"),
                                GARG(rb)});
         for (rdf::TermId p : pp.neg_bwd) {
@@ -812,26 +954,19 @@ Status QueryTranslator::TransPath(const Path& pp, bool dst, const TermOrVar& S,
         add_zero_rules();
         return Status::OK();
       }
-      add_chain_rule(pp.count, /*set_id=*/false, "");
-      return TransPath(*pp.left, dst, S, O, g, 2 * i, false);
+      add_chain_rule(pp.count);
+      return recurse(*pp.left, 0);
     }
     case PathKind::kNOrMore: {
-      if (pp.count == 0) {
-        add_zero_rules();
-        add_chain_rule(1, /*set_id=*/true, "");
-        add_closure_rule();
-      } else {
-        add_chain_rule(pp.count, /*set_id=*/true, "");
-        add_closure_rule();
-      }
-      return TransPath(*pp.left, dst, S, O, g, 2 * i, false);
+      if (pp.count == 0) add_zero_rules();
+      add_chain_rule(std::max<uint32_t>(pp.count, 1));
+      add_closure_rule();
+      return recurse(*pp.left, 0);
     }
     case PathKind::kUpTo: {
       add_zero_rules();
-      for (uint32_t k = 1; k <= pp.count; ++k) {
-        add_chain_rule(k, /*set_id=*/true, "");
-      }
-      return TransPath(*pp.left, dst, S, O, g, 2 * i, false);
+      for (uint32_t k = 1; k <= pp.count; ++k) add_chain_rule(k);
+      return recurse(*pp.left, 0);
     }
   }
   return Status::Internal("unhandled path kind in translation");
@@ -886,50 +1021,48 @@ void RefreshOutputData(const Query& q, datalog::OutputSpec* out) {
   out->distinct = q.distinct;
 }
 
-// Definition A.21 (Select) plus the @post directives.
+// Definition A.21 (Select) plus the @post directives. Under bag semantics
+// the output keeps the root's tuple ID, if it has one, and the
+// projected-away variables as trailing columns that T_S does not read:
+// together they identify each solution, so each stays one output row.
 Status QueryTranslator::EmitSelect(const Query& q, bool dst, const Ctx& g) {
-  auto pvars = q.where->Vars();
-  std::vector<std::string> pattern_vars;
-  for (const auto& v : pvars) pattern_vars.push_back(VName(v));
+  const auto& pvars = Analyze(*q.where).vars;
+  const bool id = HasId(*q.where, dst);
 
   datalog::OutputSpec& out = program_.output;
-  out.has_tid_column = !dst;
+  out.has_tid_column = id;
   out.is_ask = false;
   RefreshOutputDirectives(q, &out);
 
   if (q.HasAggregates() || !q.group_by.empty()) {
     out.predicate = program_.predicates.Intern(
-        AnsName(1),
-        static_cast<uint32_t>(pattern_vars.size()) + (dst ? 1 : 2));
-  } else {
-    std::vector<std::string> layout = out.columns;
-    layout.insert(layout.end(), out.hidden_columns.begin(),
-                  out.hidden_columns.end());
-
-    RuleBuilder rb(&program_.predicates);
-    std::vector<std::string> head_vars;
-    for (const auto& v : layout) head_vars.push_back(VName(v));
-    rb.Head("ans", AnsArgs(rb, !dst, "ID", head_vars, GARG(rb)));
-    rb.Body(AnsName(1), AnsArgs(rb, !dst, "ID1", pattern_vars, GARG(rb)));
-    for (const auto& v : layout) {
-      if (!ContainsVar(pvars, v)) rb.Body("null", {rb.Var(VName(v))});
-    }
-    if (!dst) {
-      rb.Skolem(rb.Var("ID"), skolems_->InternFunction("f"),
-                rb.PositiveBodyVars());
-    }
-    program_.rules.push_back(rb.Build());
-    out.predicate = *program_.predicates.Lookup("ans");
+        AnsName(1), static_cast<uint32_t>(pvars.size()) + (id ? 2 : 1));
+    return Status::OK();
   }
+  std::vector<std::string> layout = out.columns;
+  layout.insert(layout.end(), out.hidden_columns.begin(),
+                out.hidden_columns.end());
+  if (!dst) {
+    for (const auto& v : pvars) {
+      if (std::find(layout.begin(), layout.end(), v) == layout.end()) {
+        layout.push_back(v);
+      }
+    }
+  }
+
+  RuleBuilder rb(&program_.predicates);
+  rb.Head("ans", AnsArgs(rb, id, "ID1", VNames(layout), GARG(rb)));
+  rb.Body(AnsName(1), AnsArgs(rb, id, "ID1", VNames(pvars), GARG(rb)));
+  for (const auto& v : layout) {
+    if (!ContainsVar(pvars, v)) rb.Body("null", {rb.Var(VName(v))});
+  }
+  program_.rules.push_back(rb.Build());
+  out.predicate = *program_.predicates.Lookup("ans");
   return Status::OK();
 }
 
 // Definition A.22 (Ask).
 Status QueryTranslator::EmitAsk(const Query& q, bool dst, const Ctx& g) {
-  auto pvars = q.where->Vars();
-  std::vector<std::string> pattern_vars;
-  for (const auto& v : pvars) pattern_vars.push_back(VName(v));
-
   Value true_val = ValueFromTerm(dict_->InternBoolean(true));
   Value false_val = ValueFromTerm(dict_->InternBoolean(false));
 
@@ -949,7 +1082,8 @@ Status QueryTranslator::EmitAsk(const Query& q, bool dst, const Ctx& g) {
   {
     RuleBuilder rb(&program_.predicates);
     rb.Head("ans_ask", {rb.Var("HasResult")});
-    rb.Body(AnsName(1), AnsArgs(rb, !dst, "ID1", pattern_vars, GARG(rb)));
+    rb.Body(AnsName(1), AnsArgs(rb, HasId(*q.where, dst), "ID1",
+                                VNames(Analyze(*q.where).vars), GARG(rb)));
     rb.Eq(rb.Var("HasResult"), RuleBuilder::Const(true_val));
     program_.rules.push_back(rb.Build());
   }
@@ -1085,6 +1219,8 @@ void QueryTranslator::EmitOntologyRules() {
 Result<Program> QueryTranslator::Translate(const Query& query) {
   program_ = Program();
   needs_comp_ = false;
+  next_index_ = 2;
+  analyses_.clear();
   edb_ = InternEdbPredicates(&program_.predicates);
   empty_skolem_ =
       skolems_->Intern(skolems_->InternFunction("[]"), nullptr, 0);
@@ -1099,18 +1235,13 @@ Result<Program> QueryTranslator::Translate(const Query& query) {
   Ctx g;
   g.constant = ValueFromTerm(DefaultGraphTerm(dict_));
 
-  // Join-order optimization before translation (the engine-side query
-  // planning the paper attributes to the Vadalog substrate, §7).
-  sparql::PatternPtr where = sparql::ReorderJoins(query.where);
-  sparql::Query planned = query;
-  planned.where = where;
-
-  SPARQLOG_RETURN_NOT_OK(TransPattern(*where, dst, g, 1));
-  if (query.form == sparql::QueryForm::kAsk) {
-    SPARQLOG_RETURN_NOT_OK(EmitAsk(planned, dst, g));
-  } else {
-    SPARQLOG_RETURN_NOT_OK(EmitSelect(planned, dst, g));
+  Status st = TransPattern(*query.where, dst, g, 1);
+  if (st.ok()) {
+    st = query.form == sparql::QueryForm::kAsk ? EmitAsk(query, dst, g)
+                                               : EmitSelect(query, dst, g);
   }
+  analyses_.clear();  // keyed by addresses inside `query`
+  SPARQLOG_RETURN_NOT_OK(st);
   if (needs_comp_) EmitCompRules();
   if (ontology_) EmitOntologyRules();
 

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <unordered_map>
+
 #include "core/data_translator.h"
 #include "datalog/ast.h"
 #include "datalog/value.h"
@@ -9,16 +11,40 @@
 /// \file query_translator.h
 /// The paper's query translation method T_Q (§5, Appendix A): walks the
 /// parse tree of a SPARQL query and emits Warded Datalog± rules for each
-/// subpattern, using the NodeIndex doubling scheme (root = 1, children =
-/// 2i / 2i+1) and the `ans<i>` predicate naming of §5.1.
+/// subpattern, naming the predicate of node i `ans<i>` (§5.1). Node
+/// indices come from a per-Translate counter (root = 1, every child the
+/// next free number), so predicate and Skolem-function names stay unique
+/// at any nesting depth.
 ///
-/// Bag semantics (dst = false) adds a tuple-ID column generated by the
-/// Skolem function `f<i>(sorted positive body vars)`; set semantics
-/// (dst = true, i.e. DISTINCT queries) omits ID columns entirely.
-/// Zero-or-one / zero-or-more / one-or-more paths force `ID = []` per the
-/// SPARQL property-path semantics (§5.2).
+/// Two static analyses over the algebra (certain-variable reasoning in
+/// the style of Pérez et al.) make the rules leaner than the printed
+/// per-operator definitions:
+///  * certainly bound: the variables bound in every solution of a
+///    subpattern. A join on a variable certainly bound on both sides is a
+///    plain shared rule variable; the null-aware `comp/3` (Def A.2) is
+///    used only where a side may leave the variable unbound (OPTIONAL
+///    right-only variables, one-branch UNION variables, BIND targets,
+///    VALUES UNDEF columns);
+///  * duplicate-free: subpatterns that yield each mapping at most once
+///    (BGPs, set-typed paths, and joins / filters / BINDs / OPTIONALs of
+///    such subpatterns on certainly-bound shared variables). Their
+///    variable tuple is their identity, so they carry no Skolem tuple-ID
+///    column; neither does anything under a `+`, `*`, `?`, `{n,}` or
+///    `{,n}` closure, which consumes a set.
+/// Bag semantics keeps an ID column only on subpatterns that can repeat a
+/// mapping; DISTINCT queries (dst = true) carry none. An ID need only
+/// make (ID, variable tuple) unique, so a node mints a Skolem term
+/// (`f<i>` over the sorted positive body variables) only when nothing
+/// cheaper does: a duplicate-free UNION or alternative branch is tagged
+/// with the constant `f<i>a()` / `f<i>b()`, and a node with one bag input
+/// and no comp carries that input's ID. Every maximal BGP, with the
+/// FILTERs over its certainly-bound variables, is one rule body that the
+/// cost-based planner orders as a whole.
 ///
-/// Deviations from the printed definitions (documented in DESIGN.md §2):
+/// Deviations from the printed definitions (documented in
+/// docs/ARCHITECTURE.md):
+///  * the two analyses above (fewer rules, IDs and comp atoms; the same
+///    solution multisets);
 ///  * subjectOrObject carries the active graph (Def A.17 loses it);
 ///  * the zero-length rule for constant endpoints is unconditional
 ///    (Def A.18's `not term(X)` guard misses constants that occur in a
@@ -70,24 +96,45 @@ class QueryTranslator {
     datalog::Value constant = 0;
   };
 
+  /// Result of the two static analyses for one pattern node.
+  struct Analysis {
+    std::vector<std::string> vars;     ///< var(P), sorted
+    std::vector<std::string> certain;  ///< bound in every solution, sorted
+    bool dup_free = false;             ///< no mapping occurs twice
+  };
+
+  /// Variables shared by `a` and `b` that one of them may leave unbound:
+  /// a join of the two needs `comp` on exactly these.
+  static std::vector<std::string> CompShared(const Analysis& a,
+                                             const Analysis& b);
+  /// Memoized analyses of `p` (keyed by node address for one Translate).
+  const Analysis& Analyze(const sparql::Pattern& p);
+  /// True when node `p` carries a tuple-ID column under mode `dst`.
+  bool HasId(const sparql::Pattern& p, bool dst) {
+    return !dst && !Analyze(p).dup_free;
+  }
+  /// The constant ID `f<i><suffix>()` of the tuples a duplicate-free
+  /// branch contributes to the bag union (or alternative path) node i:
+  /// with the branch's variable tuple it identifies each of them.
+  Result<datalog::Value> BranchTag(uint64_t i, const char* suffix);
+  /// Next unused node index.
+  uint64_t Fresh() { return next_index_++; }
+
   Status TransPattern(const sparql::Pattern& p, bool dst, const Ctx& g,
                       uint64_t i);
-  Status TransTriple(const sparql::Pattern& p, bool dst, const Ctx& g,
-                     uint64_t i);
-  Status TransJoin(const sparql::Pattern& p, bool dst, const Ctx& g,
-                   uint64_t i);
+  /// One rule for a maximal group of joined triple patterns, path
+  /// patterns, absorbed FILTERs and other subpatterns (their own
+  /// predicates appear as body atoms).
+  Status TransGroup(const sparql::Pattern& p, bool dst, const Ctx& g,
+                    uint64_t i);
   Status TransUnion(const sparql::Pattern& p, bool dst, const Ctx& g,
                     uint64_t i);
   Status TransOptional(const sparql::Pattern& p, bool dst, const Ctx& g,
                        uint64_t i);
   Status TransMinus(const sparql::Pattern& p, bool dst, const Ctx& g,
                     uint64_t i);
-  Status TransFilter(const sparql::Pattern& p, bool dst, const Ctx& g,
-                     uint64_t i);
   Status TransGraph(const sparql::Pattern& p, bool dst, const Ctx& g,
                     uint64_t i);
-  Status TransPathPattern(const sparql::Pattern& p, bool dst, const Ctx& g,
-                          uint64_t i);
   Status TransBind(const sparql::Pattern& p, bool dst, const Ctx& g,
                    uint64_t i);
   Status TransValues(const sparql::Pattern& p, bool dst, const Ctx& g,
@@ -117,6 +164,8 @@ class QueryTranslator {
   datalog::Program program_;
   EdbPredicates edb_;
   bool needs_comp_ = false;
+  uint64_t next_index_ = 2;
+  std::unordered_map<const sparql::Pattern*, Analysis> analyses_;
   bool seed_constants_ = true;
   datalog::Value empty_skolem_ = 0;    ///< the `[]` constant
   std::string triple_pred_;            ///< "triple" or "itriple"

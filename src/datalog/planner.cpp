@@ -149,17 +149,18 @@ class BodyCost {
            const EdbStats* stats)
       : atoms_(atoms), num_vars_(num_vars), stats_(stats) {}
 
-  double CardOf(uint32_t mask) const {
+  /// Cardinality of the atoms `a` with `in[a]` set (bodies of any size).
+  double CardOf(const std::vector<char>& in) const {
     const auto& atoms = *atoms_;
     double star = -1.0;
-    if (StarCard(mask, &star)) return std::max(star, kMinRows);
+    if (StarCard(in, &star)) return std::max(star, kMinRows);
 
     double card = 1.0;
     // Per-variable distinct lists, deterministic by VarId.
     std::vector<double> min_d(num_vars_, -1.0);
     std::vector<double> prod_d(num_vars_, 1.0);
     for (uint32_t a = 0; a < atoms.size(); ++a) {
-      if ((mask & (1u << a)) == 0) continue;
+      if (!in[a]) continue;
       card *= atoms[a].rows;
       for (size_t i = 0; i < atoms[a].vars.size(); ++i) {
         VarId v = atoms[a].vars[i];
@@ -174,12 +175,21 @@ class BodyCost {
     return std::max(card, kMinRows);
   }
 
+  /// CardOf over a bitmask of at most 32 atoms (the subset-DP's masks).
+  double CardOf(uint32_t mask) const {
+    std::vector<char> in(atoms_->size(), 0);
+    for (uint32_t a = 0; a < in.size() && a < 32; ++a) {
+      in[a] = (mask >> a) & 1u;
+    }
+    return CardOf(in);
+  }
+
  private:
   /// Exact subject-star estimate: every atom in the mask is a
   /// constant-predicate triple atom on the same subject variable, and no
   /// non-subject variable links two of them (that would re-introduce a
   /// join the signature count knows nothing about).
-  bool StarCard(uint32_t mask, double* out) const {
+  bool StarCard(const std::vector<char>& in, double* out) const {
     const auto& atoms = *atoms_;
     if (stats_ == nullptr || !stats_->has_characteristic_sets()) return false;
     std::vector<Value> preds;
@@ -188,7 +198,7 @@ class BodyCost {
     int n = 0;
     double fanout = 1.0;
     for (uint32_t a = 0; a < atoms.size(); ++a) {
-      if ((mask & (1u << a)) == 0) continue;
+      if (!in[a]) continue;
       const AtomEstimate& ae = atoms[a];
       if (!ae.star_candidate) return false;
       if (n == 0) {
@@ -223,20 +233,22 @@ class BodyCost {
 /// are deterministic and replanning is idempotent).
 std::vector<uint32_t> GreedyOrder(const BodyCost& cost, uint32_t n) {
   std::vector<uint32_t> order;
-  uint32_t mask = 0;
+  std::vector<char> in(n, 0);
   for (uint32_t step = 0; step < n; ++step) {
     int best = -1;
     double best_card = std::numeric_limits<double>::infinity();
     for (uint32_t a = 0; a < n; ++a) {
-      if (mask & (1u << a)) continue;
-      double c = cost.CardOf(mask | (1u << a));
+      if (in[a]) continue;
+      in[a] = 1;
+      double c = cost.CardOf(in);
+      in[a] = 0;
       if (c < best_card) {
         best_card = c;
         best = static_cast<int>(a);
       }
     }
     order.push_back(static_cast<uint32_t>(best));
-    mask |= 1u << static_cast<uint32_t>(best);
+    in[static_cast<uint32_t>(best)] = 1;
   }
   return order;
 }
@@ -316,7 +328,7 @@ double PlanRule(Rule* rule, const std::vector<RelEstimate>& est,
     ++report->tc_shaped_rules;
   }
 
-  double rows = n == 0 ? 1.0 : cost.CardOf((1u << n) - 1);
+  double rows = n == 0 ? 1.0 : cost.CardOf(std::vector<char>(n, 1));
   for (const BuiltinLit& b : rule->builtins) {
     if (b.kind == BuiltinKind::kFilterExpr || b.kind == BuiltinKind::kNe) {
       rows *= kFilterSelectivity;

@@ -485,7 +485,10 @@ size_t Relation::RemoveRows(const Value* rows, size_t num_rows,
   // and indexes rebuild lazily on the next probe.
   round_marks_.clear();
   if (keep > 0) round_marks_.emplace_back(0u, 0u);
-  for (auto& index : indexes_) index.reset();
+  retired_.clear();
+  for (auto& index : indexes_) {
+    if (index) retired_.push_back(std::move(index));
+  }
   num_indexes_.store(0, std::memory_order_release);
   return removed;
 }
@@ -573,6 +576,7 @@ bool Relation::Probe(const std::vector<uint32_t>& cols,
     if (index == nullptr) {
       uint32_t n = num_indexes_.load(std::memory_order_relaxed);
       if (n == kMaxPublishedIndexes) return false;
+      retired_.clear();
       auto fresh = std::make_unique<Index>();
       fresh->cols = cols;
       for (uint32_t id = 0; id < store_.size(); ++id) fresh->Add(store_, id);

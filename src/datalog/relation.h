@@ -340,8 +340,9 @@ class Relation {
   /// compacted preserving the survivors' relative order and the dedup
   /// table rebuilt; row ids shift, so all round bookkeeping collapses to
   /// round 0 and every built index is dropped (rebuilt lazily on the
-  /// next probe). Single-writer, like Insert — the incremental-update
-  /// path calls this under the engine's exclusive state lock.
+  /// next probe, which also frees the dropped ones). Single-writer, like
+  /// Insert — the incremental-update path calls this under the engine's
+  /// exclusive state lock.
   ///
   /// When `undo` is non-null it is overwritten with what was removed
   /// (empty if nothing matched), priced O(removed) on this hot path.
@@ -450,6 +451,11 @@ class Relation {
   std::array<std::unique_ptr<Index>, kMaxPublishedIndexes> indexes_;
   std::atomic<uint32_t> num_indexes_{0};
   std::mutex index_build_mu_;
+  // Indexes RemoveRows dropped, freed by the next index build (under
+  // `index_build_mu_`) or the next RemoveRows. Freeing an index frees one
+  // bucket per key, so doing it in RemoveRows would lengthen an update's
+  // exclusive section by the size of every high-cardinality index.
+  std::vector<std::unique_ptr<Index>> retired_;
 };
 
 /// One per-predicate unit of the round-barrier merge: a target relation

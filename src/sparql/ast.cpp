@@ -308,8 +308,15 @@ std::vector<std::string> Pattern::Vars() const {
 }
 
 std::vector<std::string> Query::ProjectedVars() const {
-  if (select_all) return where ? where->Vars() : std::vector<std::string>{};
   std::vector<std::string> out;
+  if (select_all) {
+    if (where) {
+      for (auto& v : where->Vars()) {
+        if (!IsBlankVar(v)) out.push_back(std::move(v));
+      }
+    }
+    return out;
+  }
   for (const auto& item : select) {
     out.push_back(item.is_aggregate ? item.alias : item.var);
   }

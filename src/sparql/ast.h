@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "rdf/term.h"
@@ -19,6 +20,15 @@
 /// TermIds rather than strings.
 
 namespace sparqlog::sparql {
+
+/// Variable-name prefix of a query blank node (`_:b`, `[]`). A blank node
+/// in a pattern acts as a variable that is never projected (SELECT *
+/// skips it); no `?name` can start with this prefix.
+inline constexpr std::string_view kBlankVarPrefix = "_:";
+
+inline bool IsBlankVar(std::string_view name) {
+  return name.substr(0, kBlankVarPrefix.size()) == kBlankVarPrefix;
+}
 
 /// A position in a triple/path pattern: either a variable or a constant.
 struct TermOrVar {
@@ -182,7 +192,7 @@ struct Pattern;
 using PatternPtr = std::shared_ptr<const Pattern>;
 
 /// Graph pattern parse-tree node. Binary combinators keep the parse-tree
-/// shape the paper's translation walks (NodeIndex doubling scheme, §5.1).
+/// shape the paper's translation walks (§5.1).
 struct Pattern {
   PatternKind kind;
   // kTriple
@@ -270,7 +280,8 @@ struct Query {
   }
 
   /// Projection variable names in SELECT order. For SELECT *, this is
-  /// the sorted in-scope variable set of the WHERE pattern.
+  /// the sorted in-scope variable set of the WHERE pattern, blank nodes
+  /// excluded.
   std::vector<std::string> ProjectedVars() const;
 };
 

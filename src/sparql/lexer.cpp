@@ -46,9 +46,9 @@ class Lexer {
   static bool IsNameStart(char c) {
     return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
   }
+  // SPARQL's VARNAME has no '-': `?x-1` is `?x - 1`.
   static bool IsNameChar(char c) {
-    return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-           c == '-';
+    return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
   }
 
   /// A '<' opens an IRI when a '>' closes it before any whitespace or

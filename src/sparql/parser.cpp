@@ -477,7 +477,8 @@ class Parser {
         return TermOrVar::Const(id);
       }
       case TokenKind::kBlank:
-        return TermOrVar::Const(dict_->InternBlank(Take().text));
+        // A blank node in a pattern is a non-distinguished variable.
+        return TermOrVar::Var(std::string(kBlankVarPrefix) + Take().text);
       case TokenKind::kString: {
         SPARQLOG_ASSIGN_OR_RETURN(rdf::TermId id, LiteralTerm());
         return TermOrVar::Const(id);
@@ -506,6 +507,13 @@ class Parser {
         }
         return Err("unexpected name '" + t.text + "' in pattern");
       case TokenKind::kPunct:
+        if (t.IsPunct('[') && Peek(1).IsPunct(']')) {
+          Take();
+          Take();
+          // `[]`: a fresh blank node; the label cannot be written as one.
+          return TermOrVar::Var(std::string(kBlankVarPrefix) + "[" +
+                                std::to_string(anon_blanks_++) + "]");
+        }
         if (t.IsPunct('[')) {
           return Status::NotSupported(
               "blank node property lists are not supported");
@@ -715,18 +723,30 @@ class Parser {
     return Expr::MakeCompare(*op, std::move(left), std::move(right));
   }
 
+  static bool IsNumber(TokenKind kind) {
+    return kind == TokenKind::kInteger || kind == TokenKind::kDecimal ||
+           kind == TokenKind::kDouble;
+  }
+
   Result<ExprPtr> AdditiveExpression() {
     SPARQLOG_ASSIGN_OR_RETURN(ExprPtr left, MultiplicativeExpression());
     while (true) {
       if (ConsumePunct('+')) {
         SPARQLOG_ASSIGN_OR_RETURN(ExprPtr right, MultiplicativeExpression());
         left = Expr::MakeArith(ArithOp::kAdd, std::move(left), std::move(right));
-      } else if (Peek().IsPunct('-') &&
-                 !(Peek(1).kind == TokenKind::kInteger &&
-                   false /* negative literals handled by lexer */)) {
-        Take();
+      } else if (ConsumePunct('-')) {
         SPARQLOG_ASSIGN_OR_RETURN(ExprPtr right, MultiplicativeExpression());
         left = Expr::MakeArith(ArithOp::kSub, std::move(left), std::move(right));
+      } else if (IsNumber(Peek().kind) &&
+                 (Peek().text[0] == '-' || Peek().text[0] == '+')) {
+        // SPARQL's AdditiveExpression: in `?x -1` the lexer's signed
+        // literal is the operator followed by an unsigned operand.
+        Token& number = tokens_[pos_];
+        const bool minus = number.text[0] == '-';
+        number.text.erase(0, 1);
+        SPARQLOG_ASSIGN_OR_RETURN(ExprPtr right, MultiplicativeExpression());
+        left = Expr::MakeArith(minus ? ArithOp::kSub : ArithOp::kAdd,
+                               std::move(left), std::move(right));
       } else {
         return left;
       }
@@ -888,6 +908,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  uint64_t anon_blanks_ = 0;
   rdf::TermDictionary* dict_;
   ParserOptions options_;
   std::map<std::string, std::string> prefixes_;

@@ -8,7 +8,7 @@ namespace {
 
 std::string RenderTermOrVar(const TermOrVar& tv,
                             const rdf::TermDictionary& dict) {
-  if (tv.is_var) return "?" + tv.var;
+  if (tv.is_var) return IsBlankVar(tv.var) ? tv.var : "?" + tv.var;
   return dict.Render(tv.term);
 }
 

@@ -103,10 +103,13 @@ class Canonicalizer {
   void Flag(bool b) { key_.push_back(b ? '1' : '0'); }
 
   void Var(const std::string& name) {
+    // A blank node is a variable the translation never projects and may
+    // give a tuple ID, so it is a different shape from a named variable.
+    const char tag = IsBlankVar(name) ? '_' : '?';
     if (concrete_) {
       // Concrete mode (join-conjunct sort keys): the spelling itself.
       // Names cannot contain the delimiters, so this stays injective.
-      key_.push_back('?');
+      key_.push_back(tag);
       key_ += name;
       key_.push_back(';');
       return;
@@ -114,7 +117,7 @@ class Canonicalizer {
     auto [it, inserted] =
         var_ids_.try_emplace(name, static_cast<uint32_t>(var_names_.size()));
     if (inserted) var_names_.push_back(name);
-    key_.push_back('?');
+    key_.push_back(tag);
     key_ += std::to_string(it->second);
     key_.push_back(';');
   }

@@ -92,6 +92,15 @@ struct World {
         .status();
   }
 
+  /// A sequence path keeps duplicate paths apart, so every answer tuple
+  /// carries a Skolem tuple id minted by the evaluator's Skolem builtin.
+  Status BagQuery() {
+    return engine
+        ->ExecuteText(kPrefix + std::string("SELECT ?x ?y WHERE "
+                                            "{ ?x r:p/r:p ?y }"))
+        .status();
+  }
+
   Status Update() {
     rdf::Triple fresh{Node(&dict, 90), Pred(&dict, "p"), Node(&dict, 91)};
     rdf::Triple present{Node(&dict, 0), Pred(&dict, "p"), Node(&dict, 1)};
@@ -206,12 +215,10 @@ TEST_F(FailpointSweepTest, EveryRegisteredSiteInjectsTypedStatusAndRecovers) {
                [world] { return world->Query(); }};
   }
   {
-    // Every answer tuple of the path query carries a Skolem tuple id
-    // minted by the evaluator's Skolem builtin.
     auto world = std::make_shared<World>();
     drivers["datalog.skolem.intern"] =
-        Driver{[world] { return world->Query(); },
-               [world] { return world->Query(); }};
+        Driver{[world] { return world->BagQuery(); },
+               [world] { return world->BagQuery(); }};
   }
   {
     // The parallel round-barrier merge runs only for sharded recursive

@@ -238,6 +238,62 @@ TEST(MultiplicityTest, ProjectionCountsMatchReference) {
   }
 }
 
+// Deep queries: node indices come from a counter, so predicate and
+// Skolem-function names stay unique however deep the parse tree grows
+// (a doubling scheme wraps a 64-bit index at depth 64). Each query runs
+// on a 3-cycle under a 10 s timeout and must match the reference.
+TEST(DeepQueryTest, LongPathsBgpsAndNestedOptionalsMatchReference) {
+  rdf::TermDictionary dict;
+  rdf::Dataset dataset(&dict);
+  auto iri = [&](const std::string& s) {
+    return dict.InternIri("http://d.org/" + s);
+  };
+  dataset.default_graph().Add(iri("a"), iri("p"), iri("b"));
+  dataset.default_graph().Add(iri("b"), iri("p"), iri("c"));
+  dataset.default_graph().Add(iri("c"), iri("p"), iri("a"));
+  core::Engine::Options options;
+  options.timeout = std::chrono::seconds(10);
+  core::Engine engine(&dataset, &dict, options);
+  ASSERT_TRUE(engine.Load().ok());
+
+  auto sequence = [](int links) {
+    std::string path = "d:p";
+    for (int k = 1; k < links; ++k) path += "/d:p";
+    return "SELECT ?x ?y WHERE { ?x " + path + " ?y }";
+  };
+  std::string bgp = "SELECT * WHERE {";
+  for (int k = 0; k < 70; ++k) {
+    bgp += " ?x" + std::to_string(k) + " d:p ?x" + std::to_string(k + 1) +
+           " .";
+  }
+  bgp += " }";
+  // 70 nested OPTIONALs: level k nests level k+1.
+  std::string optionals;
+  for (int k = 69; k >= 0; --k) {
+    std::string triple = "?x" + std::to_string(k) + " d:p ?x" +
+                         std::to_string(k + 1);
+    optionals = optionals.empty() ? triple
+                                  : triple + " OPTIONAL { " + optionals + " }";
+  }
+  const std::string queries[] = {sequence(64), sequence(65), sequence(200),
+                                 bgp, "SELECT * WHERE { " + optionals + " }"};
+  for (const std::string& query : queries) {
+    auto parsed =
+        sparql::ParseQuery("PREFIX d: <http://d.org/>\n" + query, &dict);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    ExecContext ctx;
+    ctx.set_deadline_after(std::chrono::seconds(10));
+    eval::AlgebraEvaluator reference(dataset, &dict, &ctx);
+    auto expected = reference.EvalQuery(*parsed);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    auto got = engine.Execute(*parsed);
+    ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n"
+                          << query.substr(0, 80);
+    EXPECT_EQ(got->result.rows.size(), 3u) << query.substr(0, 80);
+    EXPECT_TRUE(got->result.SameSolutions(*expected)) << query.substr(0, 80);
+  }
+}
+
 // The ontology mode must agree with materialize-then-query on the same
 // RDFS subset (cross-validation of two independent implementations).
 TEST(OntologyCoherenceTest, DatalogRulesMatchMaterialization) {

@@ -235,6 +235,47 @@ TEST_F(ProgramCacheEngineTest, StatsCountHitsRebindsMisses) {
   EXPECT_GT(engine.stats().stratum_hits, 0u);
 }
 
+// The translator decides tuple IDs and comp joins from which variables
+// are blank nodes, projected or certainly bound, so those are all shape:
+// a cached program is never re-bound across them.
+TEST(QueryShapeTest, BlankNodesAreNotVariables) {
+  rdf::TermDictionary dict;
+  auto var = Shape("SELECT * WHERE { ?x ex:p ?b }", &dict);
+  auto blank = Shape("SELECT * WHERE { ?x ex:p _:b }", &dict);
+  auto anon = Shape("SELECT * WHERE { ?x ex:p [] }", &dict);
+  EXPECT_NE(var.key, blank.key);
+  EXPECT_NE(var.key, anon.key);
+  EXPECT_EQ(blank.key, anon.key);  // both one fresh blank node
+}
+
+TEST_F(ProgramCacheEngineTest, BlankNodeAndVariableNeverShareAProgram) {
+  core::Engine engine(dataset_.get(), &dict_);
+  // ?b is projected: one row per triple. _:b is not: ex:a's two ex:p/ex:q
+  // objects still make two rows, so SELECT * needs the dropped column.
+  auto named = Exec(engine, "SELECT * WHERE { ?x ex:p ?b }");
+  auto blank = Exec(engine, "SELECT * WHERE { ?x ex:p _:b }");
+  auto anon = Exec(engine, "SELECT * WHERE { ?x ex:q [] }");
+  EXPECT_EQ(named.columns, (std::vector<std::string>{"b", "x"}));
+  EXPECT_EQ(blank.columns, (std::vector<std::string>{"x"}));
+  EXPECT_EQ(named.rows.size(), 3u);
+  EXPECT_EQ(blank.rows.size(), 3u);
+  EXPECT_EQ(anon.rows.size(), 2u);
+  EXPECT_EQ(engine.stats().program_misses, 2u);
+  EXPECT_EQ(engine.stats().program_rebinds, 1u);
+  auto again = Exec(engine, "SELECT * WHERE { ?y ex:q ?b }");
+  EXPECT_EQ(again.columns, (std::vector<std::string>{"b", "y"}));
+  // OPTIONAL-then-join (comp) and a plain join differ in shape too.
+  auto opt = Exec(engine,
+                  "SELECT ?x WHERE { ?x ex:p ?y OPTIONAL { ?y ex:q ?z } "
+                  "?z ex:p ?w }");
+  auto plain = Exec(engine, "SELECT ?x WHERE { ?x ex:p ?y . ?y ex:q ?z . "
+                            "?z ex:p ?w }");
+  // ex:b and ex:c have no ex:q, so their ?z stays unbound and joins
+  // every ex:p triple (3 each); the plain join finds no ?z ex:p ?w.
+  EXPECT_EQ(opt.rows.size(), 6u);
+  EXPECT_EQ(plain.rows.size(), 0u);
+}
+
 TEST_F(ProgramCacheEngineTest, JoinPermutationHitsAndAnswersCorrectly) {
   core::Engine engine(dataset_.get(), &dict_);
   auto r1 = Exec(engine, "SELECT ?x ?z WHERE { ?x ex:p ?y . ?y ex:q ?z }");

@@ -1,6 +1,6 @@
 // Unit tests for the SPARQL front end: lexer, parser (all supported
-// constructs of Table 1 plus rejection of the unsupported ones), the
-// join-order optimizer, and the feature analyzer behind Table 2.
+// constructs of Table 1 plus rejection of the unsupported ones) and the
+// feature analyzer behind Table 2.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "sparql/ast.h"
 #include "sparql/features.h"
 #include "sparql/lexer.h"
-#include "sparql/optimizer.h"
 #include "sparql/parser.h"
 #include "sparql/printer.h"
 
@@ -352,44 +351,6 @@ TEST_F(ParserTest, PrinterRoundTripsStructure) {
   EXPECT_NE(text.find("LIMIT 3"), std::string::npos);
 }
 
-TEST_F(ParserTest, OptimizerAvoidsCartesianProducts) {
-  Query q = MustParse(R"(
-    SELECT * WHERE {
-      ?a ex:t ex:Article .
-      ?b ex:t ex:Article .
-      ?a ex:c ?p .
-      ?b ex:c ?p .
-    })");
-  PatternPtr optimized = ReorderJoins(q.where);
-  // Walk the left-deep chain and check that every conjunct after the first
-  // shares a variable with the prefix.
-  std::vector<const Pattern*> conjuncts;
-  const Pattern* cur = optimized.get();
-  while (cur->kind == PatternKind::kJoin) {
-    conjuncts.push_back(cur->right.get());
-    cur = cur->left.get();
-  }
-  conjuncts.push_back(cur);
-  std::reverse(conjuncts.begin(), conjuncts.end());
-  std::set<std::string> bound;
-  for (size_t i = 0; i < conjuncts.size(); ++i) {
-    auto vars = conjuncts[i]->Vars();
-    if (i > 0) {
-      bool connected = false;
-      for (const auto& v : vars) connected |= bound.count(v) > 0;
-      EXPECT_TRUE(connected) << "conjunct " << i << " is a cartesian product";
-    }
-    for (const auto& v : vars) bound.insert(v);
-  }
-}
-
-TEST_F(ParserTest, OptimizerPreservesVariables) {
-  Query q = MustParse(
-      "SELECT * WHERE { ?a ex:p ?b . ?c ex:q ?d . OPTIONAL { ?a ex:r ?e } }");
-  PatternPtr optimized = ReorderJoins(q.where);
-  EXPECT_EQ(optimized->Vars(), q.where->Vars());
-}
-
 TEST(FeatureAnalyzerTest, DetectsTable2Columns) {
   rdf::TermDictionary dict;
   auto q = ParseQuery(R"(
@@ -471,6 +432,36 @@ TEST(SpellingTest, SameSpellingIsTheSameTermInDataAndQuery) {
     ASSERT_TRUE(result.ok()) << result.status().ToString() << "\n"
                              << row.pattern;
     EXPECT_EQ(result->result.rows.size(), row.rows) << row.pattern;
+  }
+}
+
+// SPARQL's VARNAME has no '-': `?x-1` is `?x - 1`, not a variable named
+// `x-1`. The comparison needs spaces around `<` when a `>` follows before
+// any space, because `<?b&&?b>` is a legal IRIREF and the lexer takes the
+// longest match; the spaced form is pinned here.
+TEST(LexerTest, VariableNamesStopAtOperators) {
+  auto tokens = Tokenize("?x-1");
+  ASSERT_TRUE(tokens.ok());
+  ASSERT_GE(tokens->size(), 3u);
+  EXPECT_EQ((*tokens)[0].kind, TokenKind::kVar);
+  EXPECT_EQ((*tokens)[0].text, "x");
+
+  rdf::TermDictionary dict;
+  rdf::Dataset dataset(&dict);
+  ASSERT_TRUE(rdf::ParseTurtle("@prefix ex: <http://ex.org/> .\n"
+                               "ex:s ex:p 2 .\nex:s ex:q 1 .\n",
+                               &dataset)
+                  .ok());
+  core::Engine engine(&dataset, &dict);
+  ASSERT_TRUE(engine.Load().ok());
+  const std::string prefix = "PREFIX ex: <http://ex.org/>\n";
+  for (const char* filter :
+       {"FILTER(?x-1 > 0)", "FILTER(?x - 1 > 0)",
+        "?s ex:q ?y FILTER(?y < ?x && ?x > ?y)"}) {
+    auto result = engine.ExecuteText(prefix + "SELECT ?s WHERE { ?s ex:p ?x " +
+                                     filter + " }");
+    ASSERT_TRUE(result.ok()) << filter << ": " << result.status().ToString();
+    EXPECT_EQ(result->result.rows.size(), 1u) << filter;
   }
 }
 
