@@ -227,12 +227,12 @@ Result<QueryResult> SolutionTranslator::Translate(const Program& program,
   // columns with the shared expression evaluator.
   if (!spec.order_by.empty()) {
     eval::ExprEvaluator expr_eval(dict);
-    struct Keyed {
-      std::vector<TermId> keys;
-      uint32_t index;
-    };
-    std::vector<Keyed> keyed;
-    keyed.reserve(rows.size());
+    // Row ri's keys are keys[ri * nkeys, (ri + 1) * nkeys): one flat
+    // array, so the sort allocates once rather than once per row.
+    const size_t nkeys = spec.order_by.size();
+    std::vector<TermId> keys;
+    keys.reserve(rows.size() * nkeys);
+    std::vector<uint32_t> order(rows.size());
     for (uint32_t ri = 0; ri < rows.size(); ++ri) {
       auto lookup = [&](const std::string& name) -> TermId {
         for (size_t c = 0; c < all_columns.size(); ++c) {
@@ -240,13 +240,11 @@ Result<QueryResult> SolutionTranslator::Translate(const Program& program,
         }
         return TermDictionary::kUndef;
       };
-      Keyed k;
-      k.index = ri;
+      order[ri] = ri;
       for (const auto& key : spec.order_by) {
         auto v = expr_eval.EvalTerm(*key.expr, lookup);
-        k.keys.push_back(v.value_or(TermDictionary::kUndef));
+        keys.push_back(v.value_or(TermDictionary::kUndef));
       }
-      keyed.push_back(std::move(k));
     }
     // Ties on the ORDER BY keys are broken by the visible output row
     // (ascending, same CompareForOrder order). SPARQL leaves tie order
@@ -257,16 +255,16 @@ Result<QueryResult> SolutionTranslator::Translate(const Program& program,
     // harnesses can compare truncated results exactly. Visible columns
     // are the prefix of all_columns (hidden ones are stripped below).
     const size_t visible = columns.size();
-    std::stable_sort(keyed.begin(), keyed.end(),
-                     [&](const Keyed& a, const Keyed& b) {
-                       for (size_t i = 0; i < spec.order_by.size(); ++i) {
-                         int c = eval::CompareForOrder(*dict, a.keys[i],
-                                                       b.keys[i]);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](uint32_t a, uint32_t b) {
+                       for (size_t i = 0; i < nkeys; ++i) {
+                         int c = eval::CompareForOrder(
+                             *dict, keys[a * nkeys + i], keys[b * nkeys + i]);
                          if (spec.order_by[i].descending) c = -c;
                          if (c != 0) return c < 0;
                        }
-                       const std::vector<TermId>& ra = rows[a.index];
-                       const std::vector<TermId>& rb = rows[b.index];
+                       const std::vector<TermId>& ra = rows[a];
+                       const std::vector<TermId>& rb = rows[b];
                        for (size_t i = 0; i < visible; ++i) {
                          int c = eval::CompareForOrder(*dict, ra[i], rb[i]);
                          if (c != 0) return c < 0;
@@ -275,7 +273,7 @@ Result<QueryResult> SolutionTranslator::Translate(const Program& program,
                      });
     std::vector<std::vector<TermId>> sorted;
     sorted.reserve(rows.size());
-    for (const Keyed& k : keyed) sorted.push_back(std::move(rows[k.index]));
+    for (uint32_t ri : order) sorted.push_back(std::move(rows[ri]));
     rows = std::move(sorted);
   }
 

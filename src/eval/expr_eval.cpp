@@ -1,6 +1,8 @@
 #include "eval/expr_eval.h"
 
+#include <algorithm>
 #include <cmath>
+#include <string_view>
 // GCC 12 reports -Wmaybe-uninitialized false positives inside libstdc++'s
 // std::regex state machine (the std::function<bool(char)> of
 // _State<char>, moved in _NFA::_M_insert_*) when optimizing under
@@ -190,7 +192,23 @@ int CompareForOrder(const TermDictionary& dict, TermId a, TermId b) {
       return ra < rb ? -1 : ra > rb ? 1 : 0;
     }
   }
-  // Same kind: compare rendered forms.
+  // Same kind: compare rendered forms. IRIs render as "<" lexical ">" and
+  // blank nodes as "_:" lexical, so both compare without rendering: the
+  // shared prefix drops out and the suffix decides when one lexical form
+  // is a prefix of the other.
+  if (ta.kind == TermKind::kIri || ta.kind == TermKind::kBlank) {
+    std::string_view la = ta.lexical, lb = tb.lexical;
+    const size_t n = std::min(la.size(), lb.size());
+    int c = la.substr(0, n).compare(lb.substr(0, n));
+    if (c != 0 || la.size() == lb.size()) return c < 0 ? -1 : c > 0 ? 1 : 0;
+    if (ta.kind == TermKind::kBlank) return la.size() < lb.size() ? -1 : 1;
+    // One IRI is a proper prefix of the other: its '>' meets the longer
+    // one's next character; on a tie the shorter rendering ends first.
+    const bool a_shorter = la.size() < lb.size();
+    const unsigned char next = a_shorter ? lb[n] : la[n];
+    const bool shorter_first = static_cast<unsigned char>('>') <= next;
+    return shorter_first == a_shorter ? -1 : 1;
+  }
   std::string ra = ta.ToString(), rb = tb.ToString();
   return ra < rb ? -1 : ra > rb ? 1 : 0;
 }

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "eval/expr_eval.h"
 #include "sparql/parser.h"
 
@@ -164,6 +166,30 @@ TEST_F(ExprEvalTest, OrderTotalOrder) {
   int ba = CompareForOrder(dict_, str, lit1);
   EXPECT_EQ(ab, -ba);
   EXPECT_NE(ab, 0);
+}
+
+TEST_F(ExprEvalTest, OrderIrisAndBlanksByRenderedForm) {
+  // Prefix pairs whose next character sorts below, at and above the '>'
+  // that closes the shorter IRI's rendering.
+  std::vector<TermId> ids;
+  for (const char* lex : {"http://a", "http://a#x", "http://a>", "http://ab",
+                          "http://a/", "http://b", "", "http://a?"}) {
+    ids.push_back(dict_.InternIri(lex));
+  }
+  for (const char* label : {"b", "b1", "b0", "a", "c"}) {
+    ids.push_back(dict_.InternBlank(label));
+  }
+  for (TermId a : ids) {
+    for (TermId b : ids) {
+      const rdf::Term& ta = dict_.get(a);
+      const rdf::Term& tb = dict_.get(b);
+      if (ta.kind != tb.kind) continue;
+      int rendered = ta.ToString().compare(tb.ToString());
+      rendered = rendered < 0 ? -1 : rendered > 0 ? 1 : 0;
+      EXPECT_EQ(CompareForOrder(dict_, a, b), rendered)
+          << ta.ToString() << " vs " << tb.ToString();
+    }
+  }
 }
 
 }  // namespace
