@@ -402,7 +402,7 @@ void BM_TupleStoreProbe(benchmark::State& state) {
     key[0] = tuples[i % tuples.size()][0];
     rel.Probe(cols, key, &span);
     uint64_t sum = 0;
-    for (uint32_t k = 0; k < span.size(); ++k) sum += span[k];
+    for (uint32_t id : span) sum += id;
     benchmark::DoNotOptimize(sum);
     ++i;
   }
@@ -422,6 +422,59 @@ void BM_TupleStoreScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * rel.size());
 }
 BENCHMARK(BM_TupleStoreScan)->Arg(10000)->Arg(100000);
+
+/// An update's delete followed by the reads that come after it: an
+/// SP2Bench `triple(s, p, o, g)` relation of about `range(0)` rows, with
+/// indexes on the column sets serve-mixed's BGP rules probe, loses a
+/// 200-row batch that starts 1,000 rows before the tail, then takes one
+/// probe per index. The batch goes back to the tail untimed, so each
+/// removal also folds 200 appended rows into every index, as an update
+/// that inserts one batch and deletes an older one does.
+void BM_Relation_DeleteThenProbe(benchmark::State& state) {
+  rdf::TermDictionary dict;
+  rdf::Dataset dataset(&dict);
+  workloads::Sp2bOptions options;
+  options.target_triples = static_cast<size_t>(state.range(0));
+  workloads::GenerateSp2b(options, &dataset);
+  datalog::Relation rel(4);
+  for (const rdf::Triple& t : dataset.default_graph().triples()) {
+    rel.Insert({datalog::ValueFromTerm(t.s), datalog::ValueFromTerm(t.p),
+                datalog::ValueFromTerm(t.o), datalog::Value{0}},
+               0);
+  }
+  const std::vector<std::vector<uint32_t>> subsets = {
+      {0, 1, 3}, {1, 2, 3}, {2, 3}, {1, 3}};
+  datalog::MatchSpan span;
+  std::vector<datalog::Value> key;
+  auto probe_all = [&](uint32_t id) {
+    for (const std::vector<uint32_t>& cols : subsets) {
+      key.clear();
+      for (uint32_t c : cols) key.push_back(rel.row(id)[c]);
+      rel.Probe(cols, key, &span);
+      benchmark::DoNotOptimize(span.size());
+    }
+  };
+  probe_all(0);  // builds the indexes
+  constexpr uint32_t kBatch = 200;
+  constexpr uint32_t kBeforeTail = 1000;
+  std::vector<datalog::Value> batch;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const uint32_t first = static_cast<uint32_t>(rel.size()) - kBeforeTail;
+    const datalog::Value* rows = rel.row(first).data();
+    batch.assign(rows, rows + kBatch * 4);
+    state.ResumeTiming();
+    rel.RemoveRows(batch);
+    probe_all(first);
+    state.PauseTiming();
+    rel.InsertStaged(batch.data(), kBatch, 0);
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_Relation_DeleteThenProbe)
+    ->Arg(21000)
+    ->Unit(benchmark::kMicrosecond);
 
 // --- Cold EDB construction (T_D) -------------------------------------------
 // The cold-start ingest the PR 3 caches cannot hide: materializing the

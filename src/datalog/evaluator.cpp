@@ -475,16 +475,16 @@ struct Evaluator::RuleRun {
       bool indexed = false;
       if (!cols.empty()) {
         // MatchSpan is epoch-stable: recursive rules may insert into this
-        // relation (and its index buckets) while we iterate, and the span
-        // keeps addressing the probe-time prefix without a defensive
-        // copy. The probe is thread-safe (parallel workers may race to
-        // build a missing index); it only fails past the published-index
+        // relation (and its index) while we iterate, and the span keeps
+        // addressing the probe-time rows without a defensive copy. The
+        // probe is thread-safe (parallel workers may race to build a
+        // missing index); it only fails past the published-index
         // capacity, where the filtered scan below is the fallback.
         MatchSpan span;
         indexed = rel->Probe(cols, key, &span);
         if (indexed) {
-          for (uint32_t k = 0; k < span.size(); ++k) {
-            if (!TryRow(rel, span[k], depth)) return false;
+          for (uint32_t id : span) {
+            if (!TryRow(rel, id, depth)) return false;
           }
         }
       }

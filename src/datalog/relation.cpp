@@ -27,6 +27,35 @@ inline size_t SlotsFor(size_t count) {
   return n;
 }
 
+/// Empties `slot` of a linear-probing table by backward-shift deletion,
+/// so probe runs stay dense without tombstones: each later entry of the
+/// run whose home slot does not lie cyclically in (hole, j] moves into
+/// the hole; the others would land before their home and become
+/// unreachable. `home(j)` is the home slot of the entry at j, and
+/// `move(from, to)` moves an entry (with any side data) between slots.
+template <typename Home, typename Move>
+void EraseSlot(std::vector<uint32_t>* slots, size_t slot, Home home,
+               Move move) {
+  const size_t mask = slots->size() - 1;
+  size_t hole = slot;
+  size_t j = slot;
+  for (;;) {
+    (*slots)[hole] = 0;
+    for (;;) {
+      j = (j + 1) & mask;
+      if ((*slots)[j] == 0) return;
+      const size_t h = home(j);
+      const bool stays =
+          hole < j ? (h > hole && h <= j) : (h > hole || h <= j);
+      if (!stays) {
+        move(j, hole);
+        hole = j;
+        break;
+      }
+    }
+  }
+}
+
 }  // namespace
 
 // --- TupleStore -------------------------------------------------------------
@@ -89,19 +118,21 @@ uint32_t TupleStore::Insert(const Value* row, bool* inserted) {
 }
 
 template <typename Stride>
-bool TupleStore::ContainsImpl(Stride s, const Value* row) const {
-  if (slots_.empty()) return false;
+uint32_t TupleStore::FindImpl(Stride s, const Value* row) const {
+  if (slots_.empty()) return 0;
   size_t mask = slots_.size() - 1;
   size_t slot = StrideHashRow(s, row) & mask;
   while (slots_[slot] != 0) {
-    if (StrideRowEquals(s, row_data(slots_[slot] - 1), row)) return true;
+    if (StrideRowEquals(s, row_data(slots_[slot] - 1), row)) {
+      return slots_[slot];
+    }
     slot = (slot + 1) & mask;
   }
-  return false;
+  return 0;
 }
 
 bool TupleStore::Contains(const Value* row) const {
-  return WithStride(arity_, [&](auto s) { return ContainsImpl(s, row); });
+  return WithStride(arity_, [&](auto s) { return FindImpl(s, row) != 0; });
 }
 
 template <typename Stride>
@@ -180,7 +211,7 @@ void TupleStore::AppendDistinctImpl(Stride s, const Value* rows,
     // The caller's distinctness proof, revalidated in debug builds (note
     // intra-batch duplicates surface only once their earlier copy's slot
     // is written, i.e. on a later AppendDistinct or Contains).
-    assert(!ContainsImpl(s, row));
+    assert(FindImpl(s, row) == 0);
     hashes[i] = StrideHashRow(s, row);
   }
   constexpr size_t kPrefetchAhead = 16;
@@ -216,25 +247,6 @@ uint64_t Relation::Index::HashProjected(const TupleStore& store,
   return Fmix64(seed);
 }
 
-bool Relation::Index::KeyEqualsRow(const TupleStore& store,
-                                   uint32_t bucket_first,
-                                   const Value* key) const {
-  const Value* row = store.row_data(bucket_first);
-  for (size_t j = 0; j < cols.size(); ++j) {
-    if (row[cols[j]] != key[j]) return false;
-  }
-  return true;
-}
-
-bool Relation::Index::ProjectedEquals(const TupleStore& store, uint32_t a,
-                                      const Value* b_row) const {
-  const Value* a_row = store.row_data(a);
-  for (uint32_t c : cols) {
-    if (a_row[c] != b_row[c]) return false;
-  }
-  return true;
-}
-
 void Relation::Index::Grow() {
   size_t new_size = slots.empty() ? kInitialSlots : slots.size() * 2;
   std::vector<uint32_t> fresh(new_size, 0);
@@ -251,52 +263,189 @@ void Relation::Index::Grow() {
   slot_hashes = std::move(fresh_hashes);
 }
 
-void Relation::Index::Add(const TupleStore& store, uint32_t row_id) {
+template <typename RepFn>
+uint32_t Relation::Index::KeyOf(const TupleStore& store, uint32_t row_id,
+                                RepFn rep) {
   if (NeedsGrow(num_keys, slots.size())) Grow();
-  uint64_t hash = HashProjected(store, row_id);
-  size_t mask = slots.size() - 1;
+  const uint64_t hash = HashProjected(store, row_id);
+  const size_t mask = slots.size() - 1;
   size_t slot = hash & mask;
   const Value* row = store.row_data(row_id);
   while (slots[slot] != 0) {
+    const uint32_t k = slots[slot] - 1;
     if (slot_hashes[slot] == hash) {
-      std::vector<uint32_t>& bucket = buckets[slots[slot] - 1];
-      if (ProjectedEquals(store, bucket[0], row)) {
-        bucket.push_back(row_id);
-        return;
-      }
+      const Value* other = store.row_data(rep(k));
+      size_t j = 0;
+      while (j < cols.size() && other[cols[j]] == row[cols[j]]) ++j;
+      if (j == cols.size()) return k;
     }
     slot = (slot + 1) & mask;
   }
-  buckets.emplace_back(1, row_id);
-  slots[slot] = static_cast<uint32_t>(buckets.size());
+  uint32_t k;
+  if (free_keys.empty()) {
+    // A new key's range is empty, at the end of the flat array.
+    k = static_cast<uint32_t>(keys.size());
+    keys.emplace_back();
+    offsets.push_back(offsets.back());
+  } else {
+    // A freed key's range is empty already.
+    k = free_keys.back();
+    free_keys.pop_back();
+  }
+  slots[slot] = k + 1;
   slot_hashes[slot] = hash;
   ++num_keys;
+  return k;
 }
 
-const std::vector<uint32_t>* Relation::Index::Find(const TupleStore& store,
-                                                   const Value* key) const {
-  if (slots.empty()) return nullptr;
+void Relation::Index::Build(const TupleStore& store) {
+  // Counting sort by key: one pass finds each row's key, the ranges are
+  // laid out in key-id order by the counts, and a second pass scatters
+  // the ids. Rows are visited ascending, so every range is.
+  const uint32_t n = store.size();
+  std::vector<uint32_t> row_key(n);
+  std::vector<uint32_t> first_row;  // per key, while no range exists
+  for (uint32_t id = 0; id < n; ++id) {
+    row_key[id] = KeyOf(store, id, [&](uint32_t k) { return first_row[k]; });
+    if (row_key[id] == first_row.size()) first_row.push_back(id);
+  }
+  offsets.assign(keys.size() + 1, 0);
+  for (uint32_t id = 0; id < n; ++id) ++offsets[row_key[id] + 1];
+  for (size_t k = 0; k < keys.size(); ++k) offsets[k + 1] += offsets[k];
+  std::vector<uint32_t>& next = first_row;  // reused as write cursors
+  next.assign(offsets.begin(), offsets.end() - 1);
+  ids.resize(n);
+  for (uint32_t id = 0; id < n; ++id) ids[next[row_key[id]]++] = id;
+}
+
+void Relation::Index::Add(const TupleStore& store, uint32_t row_id) {
+  const uint32_t k =
+      KeyOf(store, row_id, [this](uint32_t key) { return Rep(key); });
+  Key& key = keys[k];
+  const uint32_t entry = static_cast<uint32_t>(appended.size());
+  appended.push_back({row_id, kNone});
+  if (key.appended == 0) {
+    key.head = entry;
+    chained.push_back(k);
+  } else {
+    appended[key.tail].next = entry;
+  }
+  key.tail = entry;
+  ++key.appended;
+}
+
+uint32_t Relation::Index::Find(const TupleStore& store,
+                               const Value* key) const {
+  if (slots.empty()) return kNone;
   uint64_t hash = Fmix64(HashRange(key, key + cols.size()));
   size_t mask = slots.size() - 1;
   size_t slot = hash & mask;
   while (slots[slot] != 0) {
     if (slot_hashes[slot] == hash) {
-      const std::vector<uint32_t>& bucket = buckets[slots[slot] - 1];
-      if (KeyEqualsRow(store, bucket[0], key)) return &bucket;
+      const uint32_t k = slots[slot] - 1;
+      const Value* row = store.row_data(Rep(k));
+      size_t j = 0;
+      while (j < cols.size() && row[cols[j]] == key[j]) ++j;
+      if (j == cols.size()) return k;
     }
     slot = (slot + 1) & mask;
   }
-  return nullptr;
+  return kNone;
+}
+
+void Relation::Index::Remap(const TupleStore& store,
+                            const std::vector<uint32_t>& renum) {
+  // Rename the built-in ids in place, noting where the removed ones sit.
+  // Removed rows are few, so the branch predicts well; their ids stay
+  // old, which is what an emptied key's unlink below hashes.
+  std::vector<uint32_t> gone;
+  for (uint32_t i = 0; i < ids.size(); ++i) {
+    const uint32_t r = renum[ids[i] + 1];
+    if (r == 0) {
+      gone.push_back(i);
+    } else {
+      ids[i] = r - 1;
+    }
+  }
+  // The keys whose range changes: those losing a built-in row (found by
+  // bisecting the offsets) and those with a chain to fold in.
+  std::vector<uint32_t> touched = std::move(chained);
+  chained.clear();
+  for (uint32_t pos : gone) {
+    touched.push_back(static_cast<uint32_t>(
+        std::upper_bound(offsets.begin(), offsets.end(), pos) -
+        offsets.begin() - 1));
+  }
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+
+  // Copy the runs between removed ids into a fresh array, append each
+  // touched key's surviving chain after its range, and shift the offsets
+  // of the keys that follow by the running size change. The renumbering
+  // is monotone and chained rows come after every built-in row, so each
+  // range stays ascending.
+  std::vector<uint32_t> fresh;
+  fresh.reserve(store.size());
+  uint32_t src = 0;
+  size_t g = 0;
+  size_t next_key = 0;
+  int64_t delta = 0;
+  auto copy_to = [&](uint32_t end) {
+    fresh.insert(fresh.end(), ids.begin() + src, ids.begin() + end);
+  };
+  auto shift = [&](size_t k) {
+    offsets[k] = static_cast<uint32_t>(offsets[k] + delta);
+  };
+  for (uint32_t k : touched) {
+    for (; next_key <= k; ++next_key) shift(next_key);
+    const uint32_t old_begin = offsets[k] - static_cast<uint32_t>(delta);
+    const uint32_t old_end = offsets[k + 1];
+    for (; g < gone.size() && gone[g] < old_end; ++g) {
+      copy_to(gone[g]);
+      src = gone[g] + 1;
+    }
+    copy_to(old_end);
+    src = old_end;
+    Key& key = keys[k];
+    uint32_t old_rep = old_begin < old_end ? ids[old_begin] : kNone;
+    for (uint32_t e = key.head, left = key.appended; left > 0; --left) {
+      if (old_rep == kNone) old_rep = appended[e].row;
+      const uint32_t r = renum[appended[e].row + 1];
+      if (r != 0) fresh.push_back(r - 1);
+      e = appended[e].next;
+    }
+    key = Key{};
+    delta = static_cast<int64_t>(fresh.size()) - old_end;
+    if (fresh.size() > offsets[k]) continue;
+    // Every row of the key is gone: unlink its slot, found by hashing
+    // its old row, which the arena still holds.
+    const size_t mask = slots.size() - 1;
+    size_t slot = HashProjected(store, old_rep) & mask;
+    while (slots[slot] != k + 1) slot = (slot + 1) & mask;
+    EraseSlot(
+        &slots, slot, [&](size_t j) { return slot_hashes[j] & mask; },
+        [&](size_t from, size_t to) {
+          slots[to] = slots[from];
+          slot_hashes[to] = slot_hashes[from];
+        });
+    free_keys.push_back(k);
+    --num_keys;
+  }
+  for (; next_key < offsets.size(); ++next_key) shift(next_key);
+  copy_to(static_cast<uint32_t>(ids.size()));
+  assert(fresh.size() == offsets.back());
+  ids = std::move(fresh);
+  appended.clear();
 }
 
 size_t Relation::Index::bytes() const {
-  size_t n = slots.capacity() * sizeof(uint32_t) +
-             slot_hashes.capacity() * sizeof(uint64_t) +
-             cols.capacity() * sizeof(uint32_t);
-  for (const auto& bucket : buckets) {
-    n += bucket.capacity() * sizeof(uint32_t) + sizeof(bucket);
-  }
-  return n;
+  return slots.capacity() * sizeof(uint32_t) +
+         slot_hashes.capacity() * sizeof(uint64_t) +
+         keys.capacity() * sizeof(Key) +
+         (free_keys.capacity() + offsets.capacity() + ids.capacity() +
+          chained.capacity() + cols.capacity()) *
+             sizeof(uint32_t) +
+         appended.capacity() * sizeof(MatchSpan::Appended);
 }
 
 // --- Relation ---------------------------------------------------------------
@@ -368,13 +517,17 @@ size_t Relation::RemoveRows(const Value* rows, size_t num_rows,
   assert(k > 0);
   if (undo != nullptr) *undo = RemovalUndo{};
   if (num_rows == 0 || store_.size() == 0) return 0;
-  // Locate each doomed row through the dedup table and unlink it with
-  // backward-shift deletion (linear probe chains stay dense, no
-  // tombstones). The table keeps serving lookups between unlinks, so a
-  // duplicate in `rows` simply probes to an empty slot. Rebuilding the
-  // table instead would hash every survivor — O(relation) for a
-  // 100-tuple delete.
-  std::vector<char> doomed(store_.size(), 0);
+  // `renum` maps row id + 1 to the survivor's new id + 1 and a removed
+  // row to 0, in the dedup table's encoding (renum[0] = 0 keeps an empty
+  // slot empty), so renumbering a table is one branch-free lookup per
+  // slot. It first marks the doomed rows with kDoomed.
+  constexpr uint32_t kDoomed = Index::kNone;
+  const uint32_t old_rows = store_.size();
+  std::vector<uint32_t> renum(old_rows + 1, 0);
+  // Locate each doomed row through the dedup table and unlink it. The
+  // table keeps serving lookups between unlinks, so a duplicate in
+  // `rows` simply probes to an empty slot. Rebuilding the table instead
+  // would hash every survivor — O(relation) for a 100-tuple delete.
   size_t removed = 0;
   WithStride(k, [&](auto s) {
     const size_t mask = store_.slots_.size() - 1;
@@ -391,35 +544,17 @@ size_t Relation::RemoveRows(const Value* rows, size_t num_rows,
         slot = (slot + 1) & mask;
       }
       if (found == 0) continue;
-      doomed[found - 1] = 1;
+      renum[found] = kDoomed;
       ++removed;
-      // Backward shift: pull forward every chained entry whose home slot
-      // does not lie strictly inside (hole, j] — those may legally move
-      // into the hole; the rest would land before their home and become
-      // unreachable.
-      size_t hole = slot;
-      size_t j = slot;
-      bool open = true;
-      while (open) {
-        store_.slots_[hole] = 0;
-        for (;;) {
-          j = (j + 1) & mask;
-          const uint32_t v = store_.slots_[j];
-          if (v == 0) {
-            open = false;
-            break;
-          }
-          const size_t home =
-              StrideHashRow(s, store_.row_data(v - 1)) & mask;
-          const bool stays = hole < j ? (home > hole && home <= j)
-                                      : (home > hole || home <= j);
-          if (!stays) {
-            store_.slots_[hole] = v;
-            hole = j;
-            break;
-          }
-        }
-      }
+      EraseSlot(
+          &store_.slots_, slot,
+          [&](size_t j) {
+            return StrideHashRow(s, store_.row_data(store_.slots_[j] - 1)) &
+                   mask;
+          },
+          [&](size_t from, size_t to) {
+            store_.slots_[to] = store_.slots_[from];
+          });
     }
     return 0;
   });
@@ -427,69 +562,65 @@ size_t Relation::RemoveRows(const Value* rows, size_t num_rows,
   if (undo != nullptr) {
     // The arena is still pre-removal here (only dedup slots were
     // unlinked above), so the doomed scan reads original ids and values.
-    undo->prior_rows = store_.size();
+    undo->prior_rows = old_rows;
     undo->round_marks = round_marks_;
     undo->ids.reserve(removed);
     undo->rows.reserve(removed * k);
-    for (uint32_t id = 0; id < store_.size(); ++id) {
-      if (!doomed[id]) continue;
+    for (uint32_t id = 0; id < old_rows; ++id) {
+      if (renum[id + 1] != kDoomed) continue;
       undo->ids.push_back(id);
       const Value* r = store_.row_data(id);
       undo->rows.insert(undo->rows.end(), r, r + k);
     }
   }
-  // When every doomed row sits at the arena tail — the common shape for
-  // retracting recently inserted tuples — survivors keep their ids:
-  // truncate and stop, touching nothing proportional to the relation.
-  const uint32_t suffix_keep = store_.size() - static_cast<uint32_t>(removed);
+  // Survivors keep their relative order. When every doomed row sits at
+  // the arena tail — the common shape for retracting recently inserted
+  // tuples — no survivor changes id.
+  const uint32_t keep = old_rows - static_cast<uint32_t>(removed);
   bool suffix = true;
-  for (uint32_t id = suffix_keep; id < store_.size(); ++id) {
-    if (!doomed[id]) {
-      suffix = false;
-      break;
+  uint32_t next = 0;
+  for (uint32_t id = 0; id < old_rows; ++id) {
+    if (renum[id + 1] == kDoomed) {
+      renum[id + 1] = 0;
+      suffix = suffix && id >= keep;
+    } else {
+      renum[id + 1] = ++next;
     }
   }
-  uint32_t keep = suffix_keep;
-  if (suffix) {
-    store_.num_rows_ = keep;
-    store_.arena_.resize(static_cast<size_t>(keep) * k);
-  } else {
-    // Compact the arena in place, preserving survivor order, then
-    // renumber the surviving ids in the table directly — renaming a row
-    // does not move its slot, so no rehash is needed.
-    std::vector<uint32_t> new_id(store_.size(), 0);
-    keep = 0;
-    for (uint32_t id = 0; id < store_.size(); ++id) {
-      if (doomed[id]) continue;
-      new_id[id] = keep;
-      if (keep != id) {
-        std::copy(store_.arena_.begin() + static_cast<size_t>(id) * k,
-                  store_.arena_.begin() + static_cast<size_t>(id + 1) * k,
-                  store_.arena_.begin() + static_cast<size_t>(keep) * k);
-      }
-      ++keep;
+  // Remap the indexes while the arena still holds the removed rows (an
+  // emptied key is unlinked by hashing its old row).
+  ForEachIndex([&](Index& index) { index.Remap(store_, renum); });
+  if (!suffix) {
+    // Compact the arena in place, then renumber the surviving ids in the
+    // table directly — renaming a row does not move its slot, so no
+    // rehash is needed.
+    for (uint32_t id = 0; id < old_rows; ++id) {
+      const uint32_t to = renum[id + 1];
+      if (to == 0 || to == id + 1) continue;
+      std::copy(store_.arena_.begin() + static_cast<size_t>(id) * k,
+                store_.arena_.begin() + static_cast<size_t>(id + 1) * k,
+                store_.arena_.begin() + static_cast<size_t>(to - 1) * k);
     }
-    store_.num_rows_ = keep;
-    store_.arena_.resize(static_cast<size_t>(keep) * k);
-    for (uint32_t& v : store_.slots_) {
-      if (v != 0) v = new_id[v - 1] + 1;
-    }
+    for (uint32_t& v : store_.slots_) v = renum[v];
   }
-  // A mass delete (e.g. a fixpoint over-delete cascade) can leave the
-  // table arbitrarily under-loaded; shrink through the rebuild then.
+  store_.num_rows_ = keep;
+  store_.arena_.resize(static_cast<size_t>(keep) * k);
+  // A mass delete (e.g. a fixpoint over-delete cascade) can leave a
+  // table arbitrarily under-loaded; shrink through a rebuild then.
   if (SlotsFor(keep) * 4 <= store_.slots_.size()) {
     store_.Rehash(SlotsFor(keep));
   }
-  // Row ids shifted: round provenance and index buckets are both stale.
-  // Survivors collapse into round 0 (the caller re-derives from there)
-  // and indexes rebuild lazily on the next probe.
+  ForEachIndex([&](Index& index) {
+    if (SlotsFor(index.num_keys) * 4 > index.slots.size()) return;
+    Index fresh;
+    fresh.cols = std::move(index.cols);
+    fresh.Build(store_);
+    index = std::move(fresh);
+  });
+  // Row ids shifted, so round provenance is stale: survivors collapse
+  // into round 0 (the caller re-derives from there).
   round_marks_.clear();
   if (keep > 0) round_marks_.emplace_back(0u, 0u);
-  retired_.clear();
-  for (auto& index : indexes_) {
-    if (index) retired_.push_back(std::move(index));
-  }
-  num_indexes_.store(0, std::memory_order_release);
   return removed;
 }
 
@@ -521,8 +652,7 @@ void Relation::RestoreRemoved(const RemovalUndo& undo) {
   store_.num_rows_ = undo.prior_rows;
   store_.Rehash(SlotsFor(undo.prior_rows));
   round_marks_ = undo.round_marks;
-  for (auto& index : indexes_) index.reset();
-  num_indexes_.store(0, std::memory_order_release);
+  DropIndexes();
 }
 
 void Relation::TruncateTo(uint32_t keep_rows) {
@@ -534,6 +664,10 @@ void Relation::TruncateTo(uint32_t keep_rows) {
   while (!round_marks_.empty() && round_marks_.back().second >= keep_rows) {
     round_marks_.pop_back();
   }
+  DropIndexes();
+}
+
+void Relation::DropIndexes() {
   for (auto& index : indexes_) index.reset();
   num_indexes_.store(0, std::memory_order_release);
 }
@@ -569,6 +703,13 @@ Relation::Index* Relation::FindPublishedIndex(
 
 bool Relation::Probe(const std::vector<uint32_t>& cols,
                      const std::vector<Value>& key, MatchSpan* out) {
+  if (!cols.empty() && cols.size() == arity()) {
+    // Every column bound: the dedup table holds at most the one row.
+    const uint32_t found = WithStride(
+        arity(), [&](auto s) { return store_.FindImpl(s, key.data()); });
+    *out = found == 0 ? MatchSpan() : MatchSpan::Single(found - 1);
+    return true;
+  }
   Index* index = FindPublishedIndex(cols);
   if (index == nullptr) {
     std::lock_guard<std::mutex> lock(index_build_mu_);
@@ -576,19 +717,24 @@ bool Relation::Probe(const std::vector<uint32_t>& cols,
     if (index == nullptr) {
       uint32_t n = num_indexes_.load(std::memory_order_relaxed);
       if (n == kMaxPublishedIndexes) return false;
-      retired_.clear();
       auto fresh = std::make_unique<Index>();
       fresh->cols = cols;
-      for (uint32_t id = 0; id < store_.size(); ++id) fresh->Add(store_, id);
+      fresh->Build(store_);
       index = fresh.get();
       indexes_[n] = std::move(fresh);
       num_indexes_.store(n + 1, std::memory_order_release);
     }
   }
-  const std::vector<uint32_t>* bucket = index->Find(store_, key.data());
-  *out = bucket == nullptr
-             ? MatchSpan()
-             : MatchSpan(bucket, static_cast<uint32_t>(bucket->size()));
+  const uint32_t k = index->Find(store_, key.data());
+  if (k == Index::kNone) {
+    *out = MatchSpan();
+  } else {
+    const uint32_t begin = index->offsets[k];
+    const uint32_t built = index->offsets[k + 1] - begin;
+    const Index::Key& chain = index->keys[k];
+    *out = MatchSpan(index->ids.data() + begin, built, built + chain.appended,
+                     &index->appended, chain.head);
+  }
   return true;
 }
 

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -30,9 +29,14 @@
 /// dedups a whole batch in one pass against a table allocated once at
 /// final size instead of growing it tuple by tuple.
 /// `Relation` layers semi-naive round bookkeeping and lazily-built hash
-/// indexes on top; index buckets are append-only and epoch-stable, so the
-/// evaluator can keep probing a bucket while recursive rules insert into
-/// the same relation (see `MatchSpan`).
+/// indexes on top. An index stores its row ids flat: a slot table maps
+/// each key to a range of one id array, and rows appended after the build
+/// go to an append area chained per key, so building an index allocates a
+/// fixed number of arrays, not one per key. A `MatchSpan` snapshot reaches
+/// both parts, so the evaluator can keep probing a bucket while recursive
+/// rules insert into the same relation. `RemoveRows` remaps every built
+/// index to the compacted row ids (folding the append area back in)
+/// instead of dropping it.
 ///
 /// Iteration is exposed through a span-like view (`RowRef`) and a cursor
 /// (`TupleCursor`) instead of row pointers, which keeps the fixpoint inner
@@ -102,7 +106,6 @@ class TupleCursor {
       return *this;
     }
     bool operator!=(const iterator& o) const { return i_ != o.i_; }
-    bool operator==(const iterator& o) const { return i_ == o.i_; }
 
    private:
     const Value* base_;
@@ -209,8 +212,9 @@ class TupleStore {
   /// in relation.cpp — every instantiation site lives there.
   template <typename Stride>
   uint32_t InsertImpl(Stride s, const Value* row, bool* inserted);
+  /// Row id + 1 of the tuple equal to `row`, 0 when absent.
   template <typename Stride>
-  bool ContainsImpl(Stride s, const Value* row) const;
+  uint32_t FindImpl(Stride s, const Value* row) const;
   template <typename Stride>
   uint32_t BulkLoadImpl(Stride s, const Value* rows, size_t num_rows);
   template <typename Stride>
@@ -224,25 +228,72 @@ class TupleStore {
   std::vector<uint32_t> slots_;
 };
 
-/// Stable view of an index bucket prefix, valid across concurrent inserts
-/// into the owning relation: buckets live in a deque (object addresses are
-/// stable under bucket creation) and are append-only, and the prefix
-/// length is snapshotted at probe time, so rows derived while iterating are
-/// not visited by this probe (exactly the semi-naive contract the old
-/// defensive bucket copy provided, without the copy).
+/// The row ids a probe matched, ascending: a prefix of the key's range in
+/// the index's flat id array, then the entries appended since the build,
+/// followed through the key's chain in the append area. Both counts are
+/// snapshotted at probe time, so rows inserted while iterating are not
+/// visited (the semi-naive contract) and the span stays valid across
+/// inserts: an insert never touches the flat array, and the append area
+/// is read through its vector, never through a pointer into its storage.
+/// RemoveRows, TruncateTo and RestoreRemoved invalidate it; they run only
+/// where no probe is live (the engine's exclusive update lock, DRed's
+/// single writer, the update rollback).
 class MatchSpan {
  public:
+  /// One append-area entry: a row id and the key's next entry.
+  struct Appended {
+    uint32_t row;
+    uint32_t next;
+  };
+
+  class iterator {
+   public:
+    iterator(const MatchSpan* span, uint32_t i, uint32_t node)
+        : span_(span), i_(i), node_(node) {}
+    uint32_t operator*() const {
+      if (i_ < span_->flat_size_) return span_->flat_[i_];
+      // A span without an append area holds its one row id in `node_`.
+      return span_->appended_ == nullptr ? node_
+                                         : (*span_->appended_)[node_].row;
+    }
+    iterator& operator++() {
+      if (i_ >= span_->flat_size_ && span_->appended_ != nullptr) {
+        node_ = (*span_->appended_)[node_].next;
+      }
+      ++i_;
+      return *this;
+    }
+    bool operator!=(const iterator& o) const { return i_ != o.i_; }
+
+   private:
+    const MatchSpan* span_;
+    uint32_t i_;
+    uint32_t node_;
+  };
+
   MatchSpan() = default;
-  MatchSpan(const std::vector<uint32_t>* bucket, uint32_t size)
-      : bucket_(bucket), size_(size) {}
+  /// `size` ids: `flat_size` from `flat`, the rest from the chain at
+  /// `head` in `appended`.
+  MatchSpan(const uint32_t* flat, uint32_t flat_size, uint32_t size,
+            const std::vector<Appended>* appended, uint32_t head)
+      : flat_(flat), flat_size_(flat_size), size_(size),
+        appended_(appended), head_(head) {}
+  /// The one-row span of a probe that binds every column.
+  static MatchSpan Single(uint32_t row) {
+    return MatchSpan(nullptr, 0, 1, nullptr, row);
+  }
 
   uint32_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  uint32_t operator[](uint32_t i) const { return (*bucket_)[i]; }
+  iterator begin() const { return iterator(this, 0, head_); }
+  iterator end() const { return iterator(this, size_, 0); }
 
  private:
-  const std::vector<uint32_t>* bucket_ = nullptr;
+  const uint32_t* flat_ = nullptr;
+  uint32_t flat_size_ = 0;
   uint32_t size_ = 0;
+  const std::vector<Appended>* appended_ = nullptr;
+  uint32_t head_ = 0;
 };
 
 /// A set of same-arity tuples: columnar store + rounds + indexes.
@@ -290,16 +341,17 @@ class Relation {
     return store_.Contains(row.data());
   }
 
-  /// Row ids whose values at `cols` equal `key`, through the hash index
-  /// on `cols`, which is built on first use. `cols` must be sorted
-  /// ascending. Sets `*out` (an empty span when no row matches) and
-  /// returns true; returns false without touching `*out` when the index
-  /// is missing and the fixed published-index capacity is used up, in
-  /// which case the caller scans. The span stays valid while rows are
-  /// inserted (see MatchSpan). Safe to call concurrently with other
-  /// Probe / Contains / row reads — indexes are built under a mutex and
-  /// published with a release-store of the index count — but NOT
-  /// concurrently with Insert.
+  /// Row ids whose values at `cols` equal `key`, ascending. `cols` must be
+  /// sorted ascending. A probe that binds every column is answered from
+  /// the dedup table (at most one row, no index); any other subset goes
+  /// through the hash index on `cols`, which is built on first use. Sets
+  /// `*out` (an empty span when no row matches) and returns true; returns
+  /// false without touching `*out` when the index is missing and the
+  /// fixed published-index capacity is used up, in which case the caller
+  /// scans. The span stays valid while rows are inserted (see MatchSpan).
+  /// Safe to call concurrently with other Probe / Contains / row reads —
+  /// indexes are built under a mutex and published with a release-store
+  /// of the index count — but NOT concurrently with Insert.
   bool Probe(const std::vector<uint32_t>& cols, const std::vector<Value>& key,
              MatchSpan* out);
 
@@ -338,11 +390,14 @@ class Relation {
   /// Removes every listed tuple that is present (flat TupleStore layout,
   /// arity() stride); returns the number actually removed. The arena is
   /// compacted preserving the survivors' relative order and the dedup
-  /// table rebuilt; row ids shift, so all round bookkeeping collapses to
-  /// round 0 and every built index is dropped (rebuilt lazily on the
-  /// next probe, which also frees the dropped ones). Single-writer, like
-  /// Insert — the incremental-update path calls this under the engine's
-  /// exclusive state lock.
+  /// table renumbered; row ids shift, so all round bookkeeping collapses
+  /// to round 0. Every built index is kept and remapped to the new ids in
+  /// one sequential pass that also folds its append area back into the
+  /// flat array: buckets stay ascending, so a probe afterwards returns
+  /// what a freshly built index would, and keys whose bucket empties are
+  /// unlinked. Single-writer, like Insert — the incremental-update path
+  /// calls this under the engine's exclusive state lock, so no MatchSpan
+  /// is live across it.
   ///
   /// When `undo` is non-null it is overwritten with what was removed
   /// (empty if nothing matched), priced O(removed) on this hot path.
@@ -358,8 +413,9 @@ class Relation {
   /// tuple reclaims its original row id, survivors shift back, and the
   /// pre-removal round marks are reinstated — the arena ends up
   /// value-identical to the pre-removal arena. O(relation); indexes drop
-  /// and rebuild lazily. Must run on the state RemoveRows left behind
-  /// (after TruncateTo has peeled any later inserts).
+  /// and rebuild lazily (a rollback is rare). Must run on the state
+  /// RemoveRows left behind (after TruncateTo has peeled any later
+  /// inserts).
   void RestoreRemoved(const RemovalUndo& undo);
 
   /// Discards every row with id >= `keep_rows` — the exact inverse of an
@@ -394,29 +450,53 @@ class Relation {
   static constexpr size_t kMaxPublishedIndexes = 64;
 
  private:
-  /// Hash index over a column subset. Open-addressing table mapping the
-  /// projected key (values of `cols`) to an append-only bucket of row ids.
-  /// Keys are never stored: a bucket's key is read back from the arena row
-  /// of its first entry.
+  /// Hash index over a column subset. An open-addressing table maps the
+  /// projected key (values of `cols`) to a key id k. The rows built in
+  /// are `ids[offsets[k], offsets[k + 1])`, ranges laid out in key-id
+  /// order; rows added since chain from `keys[k].head` through
+  /// `appended`. Keys are never stored: a key's values are read back from
+  /// the arena row of its first id.
   struct Index {
+    static constexpr uint32_t kNone = UINT32_MAX;
+    struct Key {
+      uint32_t head = kNone;  ///< first append-area entry
+      uint32_t tail = kNone;  ///< last append-area entry
+      uint32_t appended = 0;  ///< entries in the chain
+    };
+
     std::vector<uint32_t> cols;
-    // slot -> bucket_id + 1; 0 = empty. Power-of-two, linear probing.
+    // slot -> key id + 1; 0 = empty. Power-of-two, linear probing.
     std::vector<uint32_t> slots;
     std::vector<uint64_t> slot_hashes;  // cached key hash per used slot
-    // Deque: bucket object addresses stay stable as buckets are added, so
-    // MatchSpan can hold a bucket pointer across inserts.
-    std::deque<std::vector<uint32_t>> buckets;
-    size_t num_keys = 0;
+    std::vector<Key> keys;
+    std::vector<uint32_t> free_keys;  // ids of keys emptied by Remap
+    size_t num_keys = 0;              // live keys (linked in `slots`)
+    std::vector<uint32_t> offsets = std::vector<uint32_t>(1, 0);
+    std::vector<uint32_t> ids;
+    std::vector<MatchSpan::Appended> appended;
+    std::vector<uint32_t> chained;  // keys with a non-empty chain
 
     uint64_t HashProjected(const TupleStore& store, uint32_t row_id) const;
-    bool KeyEqualsRow(const TupleStore& store, uint32_t bucket_first,
-                      const Value* key) const;
-    /// True when row `a` and the tuple at `b_row` agree on `cols`.
-    bool ProjectedEquals(const TupleStore& store, uint32_t a,
-                         const Value* b_row) const;
+    /// A row carrying key k.
+    uint32_t Rep(uint32_t k) const {
+      return offsets[k] != offsets[k + 1] ? ids[offsets[k]]
+                                          : appended[keys[k].head].row;
+    }
+    /// Key id of row `row_id`'s key, created when absent; `rep(k)` is a
+    /// row carrying key k.
+    template <typename RepFn>
+    uint32_t KeyOf(const TupleStore& store, uint32_t row_id, RepFn rep);
+    /// Indexes every row of `store` (the index must be empty).
+    void Build(const TupleStore& store);
+    /// Adds a row appended after the build to its key's chain.
     void Add(const TupleStore& store, uint32_t row_id);
-    const std::vector<uint32_t>* Find(const TupleStore& store,
-                                      const Value* key) const;
+    /// Key id matching `key` (values of `cols`), or kNone.
+    uint32_t Find(const TupleStore& store, const Value* key) const;
+    /// Renames every row id through `renum` (row id + 1 -> new row id +
+    /// 1, 0 = removed) and folds the append area into the flat array;
+    /// emptied keys are unlinked. `store` must still hold the removed
+    /// rows.
+    void Remap(const TupleStore& store, const std::vector<uint32_t>& renum);
     void Grow();
     size_t bytes() const;
   };
@@ -429,12 +509,14 @@ class Relation {
   /// Looks up a published index by column subset; lock-free (acquire-load
   /// of the published count, entries below it are fully built).
   Index* FindPublishedIndex(const std::vector<uint32_t>& cols) const;
-  /// All published indexes, for Insert maintenance.
+  /// All published indexes, for maintenance by the single writer.
   template <typename Fn>
   void ForEachIndex(Fn&& fn) {
     uint32_t n = num_indexes_.load(std::memory_order_acquire);
     for (uint32_t i = 0; i < n; ++i) fn(*indexes_[i]);
   }
+  /// Frees every index; they rebuild lazily on the next probe.
+  void DropIndexes();
 
   TupleStore store_;
   // (round, first row id of that round); appended when a round first
@@ -451,11 +533,6 @@ class Relation {
   std::array<std::unique_ptr<Index>, kMaxPublishedIndexes> indexes_;
   std::atomic<uint32_t> num_indexes_{0};
   std::mutex index_build_mu_;
-  // Indexes RemoveRows dropped, freed by the next index build (under
-  // `index_build_mu_`) or the next RemoveRows. Freeing an index frees one
-  // bucket per key, so doing it in RemoveRows would lengthen an update's
-  // exclusive section by the size of every high-cardinality index.
-  std::vector<std::unique_ptr<Index>> retired_;
 };
 
 /// One per-predicate unit of the round-barrier merge: a target relation

@@ -132,7 +132,7 @@ TEST_F(TupleStoreBulkLoad, ProbeAndLaterInsertsAfterBulkLoad) {
   MatchSpan span;
   ASSERT_TRUE(bulk.Probe(cols, key88, &span));
   ASSERT_EQ(span.size(), 1u);
-  EXPECT_TRUE(bulk.row(span[0]) == fresh);
+  EXPECT_TRUE(bulk.row(*span.begin()) == fresh);
 }
 
 // --- DataTranslator differential -------------------------------------------

@@ -19,6 +19,7 @@
 #include "datalog/stratify.h"
 #include "datalog/value.h"
 #include "datalog/warded.h"
+#include "util/hash.h"
 
 namespace sparqlog::datalog {
 namespace {
@@ -194,6 +195,13 @@ TEST(RelationTest, InsertDedupAndRounds) {
   EXPECT_EQ(rel.row(lo), (std::vector<Value>{1, 3}));
 }
 
+/// Row ids of a span, in iteration order.
+std::vector<uint32_t> Ids(const MatchSpan& span) {
+  std::vector<uint32_t> ids;
+  for (uint32_t id : span) ids.push_back(id);
+  return ids;
+}
+
 /// Probe below the index capacity, where it always succeeds.
 MatchSpan ProbeOk(Relation& rel, const std::vector<uint32_t>& cols,
                   const std::vector<Value>& key) {
@@ -216,7 +224,7 @@ TEST(RelationTest, ProbeBuildsAndMaintainsIndexes) {
   // Multi-column probe.
   span = ProbeOk(rel, {0, 1}, {2, 10});
   ASSERT_EQ(span.size(), 1u);
-  EXPECT_EQ(rel.row(span[0]), (std::vector<Value>{2, 10}));
+  EXPECT_EQ(rel.row(*span.begin()), (std::vector<Value>{2, 10}));
   EXPECT_TRUE(ProbeOk(rel, {1}, {99}).empty());
 }
 
@@ -249,9 +257,10 @@ TEST(RelationTest, ProbeSurvivesConcurrentBuild) {
 }
 
 TEST(RelationTest, ProbeReportsFailurePastIndexCapacity) {
-  // Seven columns give 127 distinct non-empty column subsets, well past
-  // the published-index capacity.
+  // Seven columns give 126 distinct partial column subsets, well past the
+  // published-index capacity. The all-columns subset needs no index.
   constexpr uint32_t kArity = 7;
+  constexpr uint32_t kFull = (1u << kArity) - 1;
   Relation rel(kArity);
   for (Value i = 0; i < 40; ++i) {
     std::vector<Value> row;
@@ -270,7 +279,7 @@ TEST(RelationTest, ProbeReportsFailurePastIndexCapacity) {
     return std::vector<Value>(subset(mask).size(), 0);
   };
   size_t built = 0;
-  for (uint32_t mask = 1; mask < (1u << kArity); ++mask) {
+  for (uint32_t mask = 1; mask < kFull; ++mask) {
     MatchSpan span;
     const bool ok = rel.Probe(subset(mask), key(mask), &span);
     if (built < Relation::kMaxPublishedIndexes) {
@@ -282,22 +291,33 @@ TEST(RelationTest, ProbeReportsFailurePastIndexCapacity) {
       EXPECT_TRUE(span.empty());  // untouched on failure
     }
   }
+  // A probe binding every column is answered from the dedup table, past
+  // the capacity too.
+  MatchSpan span;
+  ASSERT_TRUE(rel.Probe(subset(kFull), key(kFull), &span));
+  ASSERT_EQ(span.size(), 1u);
+  EXPECT_EQ(*span.begin(), 0u);
   // Indexes built before the capacity was reached keep answering and
   // stay maintained; an unindexed subset keeps failing.
   std::vector<Value> row(kArity, 0);
   row[kArity - 1] = 1000;
   rel.Insert(row, 1);
-  const uint32_t kept = 1;  // {0}, built first
-  MatchSpan span;
+  const uint32_t kept = 1;        // {0}, built first
+  const uint32_t unindexed = 126;  // {1..6}, past the capacity
   ASSERT_TRUE(rel.Probe(subset(kept), key(kept), &span));
   EXPECT_EQ(span.size(), 21u);  // 20 even i plus the new row
-  EXPECT_FALSE(rel.Probe(subset((1u << kArity) - 1), key((1u << kArity) - 1),
-                         &span));
-  // Dropping the indexes (row ids shift on removal) frees the capacity.
+  EXPECT_FALSE(rel.Probe(subset(unindexed), key(unindexed), &span));
+  // Indexes survive removal: the capacity stays used, and the kept index
+  // answers over the shifted row ids.
   EXPECT_EQ(rel.RemoveRows(row), 1u);
-  ASSERT_TRUE(rel.Probe(subset((1u << kArity) - 1), key((1u << kArity) - 1),
-                        &span));
-  EXPECT_GE(span.size(), 1u);
+  EXPECT_EQ(rel.RemoveRows(std::vector<Value>(kArity, 0)), 1u);  // row 0
+  EXPECT_FALSE(rel.Probe(subset(unindexed), key(unindexed), &span));
+  ASSERT_TRUE(rel.Probe(subset(kept), key(kept), &span));
+  std::vector<uint32_t> want;
+  for (uint32_t id = 1; id < 39; id += 2) want.push_back(id);  // i = id + 1
+  EXPECT_EQ(Ids(span), want);
+  ASSERT_TRUE(rel.Probe(subset(kFull), key(kFull), &span));
+  EXPECT_TRUE(span.empty());
 }
 
 TEST(RelationTest, InsertStagedMergesAndDedupes) {
@@ -416,12 +436,194 @@ TEST(RelationTest, MatchSpanStableAcrossConcurrentInserts) {
   for (Value i = 0; i < 8; ++i) rel.Insert({1, i}, 0);
   MatchSpan span = ProbeOk(rel, {0}, {1});
   ASSERT_EQ(span.size(), 8u);
-  for (uint32_t k = 0; k < span.size(); ++k) {
+  Value k = 0;
+  for (uint32_t id : span) {
     // Grow the same bucket (and the arena) mid-iteration.
     rel.Insert({1, 1000 + k}, 1);
-    EXPECT_EQ(rel.row(span[k])[1], k);
+    EXPECT_EQ(rel.row(id)[1], k);
+    ++k;
   }
+  EXPECT_EQ(k, 8u);
   EXPECT_EQ(ProbeOk(rel, {0}, {1}).size(), 16u);
+}
+
+/// Checks every probe of `subsets` on `rel` — each row's key and one
+/// absent key — against a relation built fresh from `rel`'s rows in
+/// arena order: the same row ids in the same order.
+void ExpectProbesMatchFresh(Relation& rel,
+                            const std::vector<std::vector<uint32_t>>& subsets) {
+  Relation fresh(rel.arity());
+  for (RowRef row : rel.rows()) fresh.Insert(row, 0);
+  ASSERT_EQ(fresh.size(), rel.size());
+  for (const std::vector<uint32_t>& cols : subsets) {
+    std::vector<std::vector<Value>> keys = {
+        std::vector<Value>(cols.size(), 1000)};
+    for (RowRef row : rel.rows()) {
+      keys.emplace_back();
+      for (uint32_t c : cols) keys.back().push_back(row[c]);
+    }
+    for (const std::vector<Value>& key : keys) {
+      MatchSpan got, want;
+      ASSERT_TRUE(rel.Probe(cols, key, &got));
+      ASSERT_TRUE(fresh.Probe(cols, key, &want));
+      ASSERT_EQ(got.size(), want.size());
+      ASSERT_EQ(Ids(got), Ids(want));
+    }
+  }
+}
+
+TEST(RelationTest, IndexesMatchFreshBuildThroughMutations) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(Fmix64(seed));
+    const uint32_t arity = 1 + static_cast<uint32_t>(rng.Uniform(5));
+    // Small domains (a few hundred distinct rows), so keys share buckets
+    // and removals empty some.
+    const uint64_t domains[] = {0, 200, 12, 6, 4, 3};
+    const uint64_t domain = domains[arity];
+    Relation rel(arity);
+    auto random_row = [&] {
+      std::vector<Value> row(arity);
+      for (Value& v : row) v = rng.Uniform(domain);
+      return row;
+    };
+    auto flat_rows = [&](size_t n) {
+      TupleStore batch(arity);
+      bool fresh = false;
+      for (size_t i = 0; i < n; ++i) batch.Insert(random_row().data(), &fresh);
+      return batch;
+    };
+    std::vector<std::vector<uint32_t>> subsets;
+    for (size_t i = rng.Uniform(4); i < 4; ++i) {
+      std::vector<uint32_t> cols;
+      for (uint32_t c = 0; c < arity; ++c) {
+        if (rng.Chance(0.5)) cols.push_back(c);
+      }
+      if (cols.empty()) {
+        cols.push_back(static_cast<uint32_t>(rng.Uniform(arity)));
+      }
+      subsets.push_back(cols);
+    }
+    for (size_t i = 0; i < 12; ++i) rel.Insert(random_row(), 0);
+    ExpectProbesMatchFresh(rel, subsets);  // builds the indexes
+    uint32_t round = 0;
+    for (int step = 0; step < 40; ++step) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step));
+      round += static_cast<uint32_t>(rng.Uniform(2));
+      const uint32_t n = static_cast<uint32_t>(rel.size());
+      // Removal of the arena rows [lo, hi) plus a row that is absent.
+      auto remove_range = [&](uint32_t lo, uint32_t hi,
+                              Relation::RemovalUndo* undo) {
+        std::vector<Value> doomed;
+        for (uint32_t id = lo; id < hi; ++id) {
+          RowRef row = rel.row(id);
+          doomed.insert(doomed.end(), row.begin(), row.end());
+        }
+        doomed.insert(doomed.end(), arity, 1000);
+        EXPECT_EQ(rel.RemoveRows(doomed, undo), hi - lo);
+        return doomed;
+      };
+      // A random row range of up to a third of the relation.
+      const uint32_t a = static_cast<uint32_t>(rng.Uniform(n + 1));
+      const uint32_t b = std::min<uint32_t>(
+          n, a + static_cast<uint32_t>(rng.Uniform(n / 3 + 2)));
+      switch (rng.Uniform(9)) {
+        case 0:
+          for (int i = 0; i < 10; ++i) rel.Insert(random_row(), round);
+          break;
+        case 1: {
+          TupleStore batch = flat_rows(1 + rng.Uniform(20));
+          rel.InsertStaged(batch, round);
+          break;
+        }
+        case 2: {
+          TupleStore batch(arity);
+          bool fresh = false;
+          for (int i = 0; i < 20; ++i) {
+            std::vector<Value> row = random_row();
+            if (!rel.Contains(row)) batch.Insert(row.data(), &fresh);
+          }
+          if (batch.size() > 0) {
+            rel.AppendDistinct(batch.row_data(0), batch.size(), round);
+          }
+          break;
+        }
+        case 3:  // prefix
+          remove_range(0, b - a, nullptr);
+          break;
+        case 4:  // middle
+          remove_range(a, b, nullptr);
+          break;
+        case 5:  // tail
+          remove_range(n - (b - a), n, nullptr);
+          break;
+        case 6: {  // a range or every row, then re-insert a removed key
+          const uint32_t lo = rng.Chance(0.1) ? 0 : a;
+          const uint32_t hi = lo == 0 ? n : b;
+          std::vector<Value> doomed = remove_range(lo, hi, nullptr);
+          if (hi > lo) {
+            const size_t pick = rng.Uniform(hi - lo) * arity;
+            rel.Insert(std::vector<Value>(doomed.begin() + pick,
+                                          doomed.begin() + pick + arity),
+                       round);
+          }
+          break;
+        }
+        case 7:
+          rel.TruncateTo(n - (b - a));
+          break;
+        case 8: {  // the update rollback: remove, insert, peel, restore
+          std::vector<Value> before;
+          for (RowRef row : rel.rows()) {
+            before.insert(before.end(), row.begin(), row.end());
+          }
+          Relation::RemovalUndo undo;
+          remove_range(a, b, &undo);
+          const uint32_t after = static_cast<uint32_t>(rel.size());
+          rel.InsertStaged(flat_rows(4), round);
+          ExpectProbesMatchFresh(rel, subsets);
+          rel.TruncateTo(after);
+          rel.RestoreRemoved(undo);
+          std::vector<Value> restored;
+          for (RowRef row : rel.rows()) {
+            restored.insert(restored.end(), row.begin(), row.end());
+          }
+          EXPECT_EQ(restored, before);
+          break;
+        }
+      }
+      ExpectProbesMatchFresh(rel, subsets);
+    }
+  }
+}
+
+TEST(RelationTest, MatchSpanOverBuiltAndAppendedRowsSurvivesInserts) {
+  Relation rel(2);
+  for (Value i = 0; i < 6; ++i) rel.Insert({i % 2, i}, 0);
+  MatchSpan span = ProbeOk(rel, {0}, {1});  // builds: ids 1, 3, 5
+  rel.Insert(std::vector<Value>{1, 100}, 1);  // appended: ids 6, 8
+  rel.Insert(std::vector<Value>{0, 101}, 1);
+  rel.Insert(std::vector<Value>{1, 102}, 1);
+  span = ProbeOk(rel, {0}, {1});
+  const std::vector<uint32_t> want = {1, 3, 5, 6, 8};
+  ASSERT_EQ(span.size(), want.size());
+  // Grow the same key's chain (and the append area, which reallocates)
+  // while iterating: the span keeps its probe-time rows.
+  std::vector<uint32_t> got;
+  Value v = 200;
+  for (uint32_t id : span) {
+    got.push_back(id);
+    for (int i = 0; i < 20; ++i) rel.Insert(std::vector<Value>{1, v++}, 2);
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(ProbeOk(rel, {0}, {1}).size(), want.size() + 100);
+  // A removal folds the append area in; the bucket stays ascending.
+  EXPECT_EQ(rel.RemoveRows(std::vector<Value>{1, 3, 0, 101}), 2u);
+  std::vector<uint32_t> folded = Ids(ProbeOk(rel, {0}, {1}));
+  ASSERT_EQ(folded.size(), want.size() + 99);
+  EXPECT_TRUE(std::is_sorted(folded.begin(), folded.end()));
+  EXPECT_EQ(folded[0], 1u);  // {1, 1}; {1, 3} is gone
+  EXPECT_EQ(folded[1], 4u);  // {1, 5} moved down past {1, 3}'s removal
 }
 
 TEST(RelationTest, InsertRowRefAliasingOwnArena) {
