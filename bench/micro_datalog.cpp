@@ -20,6 +20,8 @@
 #include "datalog/evaluator.h"
 #include "eval/algebra_eval.h"
 #include "rdf/dictionary.h"
+#include "rdf/turtle_parser.h"
+#include "rdf/writer.h"
 #include "sparql/parser.h"
 #include "util/hash.h"
 #include "util/thread_pool.h"
@@ -508,6 +510,31 @@ void BM_BulkLoad_Sp2bEdbPerTuple(benchmark::State& state) {
   EdbBuildBenchmark(state, core::EdbBuild::kPerTupleInsert);
 }
 BENCHMARK(BM_BulkLoad_Sp2bEdbPerTuple)->Arg(10000);
+
+/// The load path's parse layer: `range(0)` SP2Bench triples as
+/// N-Triples, parsed into a fresh dictionary and dataset per iteration
+/// (as a fresh engine's load parses them).
+void BM_ParseTurtle_Sp2b(benchmark::State& state) {
+  std::string text;
+  {
+    rdf::TermDictionary dict;
+    rdf::Dataset dataset(&dict);
+    workloads::Sp2bOptions options;
+    options.target_triples = static_cast<size_t>(state.range(0));
+    workloads::GenerateSp2b(options, &dataset);
+    text = rdf::WriteNTriples(dataset.default_graph(), dict);
+  }
+  size_t triples = 0;
+  for (auto _ : state) {
+    rdf::TermDictionary dict;
+    rdf::Dataset dataset(&dict);
+    auto st = rdf::ParseTurtle(text, &dataset);
+    if (!st.ok()) state.SkipWithError(st.ToString().c_str());
+    triples = dataset.TotalTriples();
+  }
+  state.SetItemsProcessed(state.iterations() * triples);
+}
+BENCHMARK(BM_ParseTurtle_Sp2b)->Arg(20000)->Unit(benchmark::kMillisecond);
 
 void BM_DictionaryIntern(benchmark::State& state) {
   std::vector<std::string> iris;

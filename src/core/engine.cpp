@@ -22,6 +22,10 @@ SPARQLOG_FAILPOINT_DEFINE(g_fp_update_translate, "engine.update.translate");
 SPARQLOG_FAILPOINT_DEFINE(g_fp_update_stage, "engine.update.stage");
 SPARQLOG_FAILPOINT_DEFINE(g_fp_update_publish, "engine.update.publish");
 
+// Degraded-mode hysteresis (Options::Degrade): the window's bad-outcome
+// fractions that enter and exit degraded mode; the gap stops flapping.
+constexpr double kDegradeEnterRatio = 0.5, kDegradeExitRatio = 0.125;
+
 /// CPU seconds consumed by the calling thread (fixpoint workers run on
 /// their own threads and are not included — that asymmetry is what lets a
 /// server compare compute against wall time per query).
@@ -630,7 +634,7 @@ void Engine::RecordOutcomeLocked(Outcome outcome) const {
   if (outcome_count_ < cfg.min_events) return;
   const double ratio = double(outcome_bad_) / double(outcome_count_);
   const bool degraded = degraded_.load(std::memory_order_relaxed);
-  if (!degraded && ratio >= cfg.enter_ratio) {
+  if (!degraded && ratio >= kDegradeEnterRatio) {
     // Enter degraded mode: shed both caches (reclaiming the memo's byte
     // budget immediately) and halve the admission cap via effective_cap.
     // Lock order: admission_mu_ -> cache mutexes; the caches never call
@@ -639,7 +643,7 @@ void Engine::RecordOutcomeLocked(Outcome outcome) const {
     Bump(&counters_.degrade_entries);
     stratum_memo_.Clear();
     program_cache_.Clear();
-  } else if (degraded && ratio <= cfg.exit_ratio) {
+  } else if (degraded && ratio <= kDegradeExitRatio) {
     degraded_.store(false, std::memory_order_relaxed);
     Bump(&counters_.degrade_exits);
     // Capacity just doubled back: wake every queued waiter to re-check.

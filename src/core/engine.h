@@ -139,15 +139,14 @@ class Engine {
     /// degraded mode that sheds the stratum memo and program cache
     /// (reclaiming memory), halves the effective admission capacity, and
     /// bypasses new memoization until the bad-outcome ratio falls back
-    /// below exit_ratio — recovery is automatic, no operator action.
+    /// (it enters at half the window's outcomes bad and exits at an
+    /// eighth) — recovery is automatic, no operator action.
     struct Degrade {
       /// Off by default; serving deployments (examples/sparql_server)
       /// turn it on.
       bool enabled = false;
       uint32_t window = 64;      ///< outcomes tracked in the ring
       uint32_t min_events = 16;  ///< outcomes before the ratio is trusted
-      double enter_ratio = 0.5;  ///< bad fraction that enters degraded
-      double exit_ratio = 0.125; ///< bad fraction that exits degraded
     };
 
     /// Incremental EDB maintenance (ApplyUpdate; datalog/incremental.h).

@@ -28,16 +28,6 @@ std::optional<PredicateId> PredicateTable::Lookup(
   return it->second;
 }
 
-std::vector<VarId> Rule::SkolemBoundVars() const {
-  std::vector<VarId> out;
-  for (const BuiltinLit& b : builtins) {
-    if (b.kind == BuiltinKind::kSkolem && b.target.is_var) {
-      out.push_back(b.target.var);
-    }
-  }
-  return out;
-}
-
 namespace {
 
 void CollectAtomVars(const Atom& atom, std::vector<bool>* seen) {

@@ -111,9 +111,6 @@ struct Rule {
   /// sets — Skolem tuple IDs are functions of the *sorted* positive body
   /// variables, not of atom positions.
   bool planned = false;
-  /// Head variables assigned by a Skolem builtin model the paper's
-  /// existential TID variables; cached for the warded analysis.
-  std::vector<VarId> SkolemBoundVars() const;
 };
 
 /// A ground fact (EDB row).

@@ -30,16 +30,6 @@ struct EdbDelta {
   std::unordered_map<std::string, PredicateDelta> preds;
 
   bool empty() const { return preds.empty(); }
-  size_t ins_rows() const {
-    size_t n = 0;
-    for (const auto& [_, d] : preds) n += d.ins.size() / d.arity;
-    return n;
-  }
-  size_t del_rows() const {
-    size_t n = 0;
-    for (const auto& [_, d] : preds) n += d.del.size() / d.arity;
-    return n;
-  }
 };
 
 using EdbDeltaPtr = std::shared_ptr<const EdbDelta>;

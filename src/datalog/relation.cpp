@@ -367,14 +367,21 @@ void Relation::Index::Remap(const TupleStore& store,
       ids[i] = r - 1;
     }
   }
-  // The keys whose range changes: those losing a built-in row (found by
-  // bisecting the offsets) and those with a chain to fold in.
+  // The keys whose range changes: those losing a built-in row and those
+  // with a chain to fold in. `gone` ascends, so each removed row's key
+  // is found by galloping forward from the previous one's.
   std::vector<uint32_t> touched = std::move(chained);
   chained.clear();
+  size_t at = 0;  // offsets[at] <= pos
   for (uint32_t pos : gone) {
-    touched.push_back(static_cast<uint32_t>(
-        std::upper_bound(offsets.begin(), offsets.end(), pos) -
-        offsets.begin() - 1));
+    size_t step = 1;
+    for (; at + step < offsets.size() && offsets[at + step] <= pos;
+         step *= 2) {
+      at += step;
+    }
+    const auto end = offsets.begin() + std::min(at + step, offsets.size());
+    at = std::upper_bound(offsets.begin() + at, end, pos) - offsets.begin() - 1;
+    touched.push_back(static_cast<uint32_t>(at));
   }
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());

@@ -9,7 +9,6 @@ namespace sparqlog::datalog {
 
 namespace {
 
-constexpr size_t kInitialSlots = 16;
 constexpr size_t kChunkValues = size_t{1} << 16;  // 512 KiB
 
 /// Hash of fn(args[0..n)): a multiply-rotate fold finished with Fmix64,
@@ -39,20 +38,15 @@ uint32_t SkolemStore::InternFunction(const std::string& name) {
 Value SkolemStore::Intern(uint32_t fn, const Value* args, size_t n) {
   const uint64_t header = static_cast<uint64_t>(fn) << 32 | n;
   const uint64_t h = HashTerm(header, args, n);
-  const uint64_t tag = h >> 32;
+  const uint32_t tag = static_cast<uint32_t>(h >> 32);
   Stripe& stripe = stripes_[h % kStripes];
   auto stripe_lock = LockCounted(stripe.mu, contention_);
-  if (stripe.slots.empty()) Grow(stripe);
-  const size_t mask = stripe.slots.size() - 1;
-  size_t pos = tag & mask;
-  for (uint64_t slot; (slot = stripe.slots[pos]) != 0; pos = (pos + 1) & mask) {
-    if ((slot >> 32) != tag) continue;
-    const uint32_t id = static_cast<uint32_t>(slot) - 1;
+  size_t pos;
+  const uint32_t found = stripe.index.Find(tag, &pos, [&](uint32_t id) {
     const Value* term = terms_[id];
-    if (term[0] == header && std::equal(args, args + n, term + 1)) {
-      return ValueOfId(id);
-    }
-  }
+    return term[0] == header && std::equal(args, args + n, term + 1);
+  });
+  if (found != SlotTable::kAbsent) return ValueOfId(found);
   uint32_t id;
   {
     // The term is fully written before its id escapes via the stripe
@@ -63,8 +57,8 @@ Value SkolemStore::Intern(uint32_t fn, const Value* args, size_t n) {
     *terms_.Slot(id) = AppendTerm(header, args, n);
     num_terms_.store(id + 1, std::memory_order_release);
   }
-  stripe.slots[pos] = tag << 32 | (static_cast<uint64_t>(id) + 1);
-  if (++stripe.used * 2 > stripe.slots.size()) Grow(stripe);
+  bytes_.fetch_add(stripe.index.Insert(pos, tag, id),
+                   std::memory_order_relaxed);
   return ValueOfId(id);
 }
 
@@ -83,22 +77,6 @@ Value* SkolemStore::AppendTerm(uint64_t header, const Value* args, size_t n) {
   term[0] = header;
   std::copy(args, args + n, term + 1);
   return term;
-}
-
-void SkolemStore::Grow(Stripe& stripe) {
-  const size_t old_size = stripe.slots.size();
-  const size_t size = old_size == 0 ? kInitialSlots : 2 * old_size;
-  std::vector<uint64_t> slots(size, 0);
-  const size_t mask = size - 1;
-  for (uint64_t slot : stripe.slots) {
-    if (slot == 0) continue;
-    size_t pos = (slot >> 32) & mask;
-    while (slots[pos] != 0) pos = (pos + 1) & mask;
-    slots[pos] = slot;
-  }
-  stripe.slots = std::move(slots);
-  bytes_.fetch_add((size - old_size) * sizeof(uint64_t),
-                   std::memory_order_relaxed);
 }
 
 std::string SkolemStore::Render(Value v,

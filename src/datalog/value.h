@@ -13,6 +13,7 @@
 
 #include "rdf/dictionary.h"
 #include "util/bucket_array.h"
+#include "util/slot_table.h"
 
 /// \file value.h
 /// Datalog values. A Value is either an interned RDF term (low 32 bits,
@@ -53,10 +54,9 @@ struct SkolemTerm {
 /// in an append-only arena of chunks that never move; an id -> term
 /// pointer table (a BucketArray) makes `get` lock-free and leaves the id
 /// space unbounded by arena size; and the reverse index is 16 striped
-/// open-addressing tables of `hash tag << 32 | id + 1` slots (0 = empty)
-/// whose probe position is the tag itself, so a rehash never revisits
-/// the arena. A probe compares the 32-bit tag first and the arena words
-/// only on a tag match; neither hits nor misses allocate per term.
+/// SlotTables (`util/slot_table.h`), so a rehash never revisits the
+/// arena. A probe compares the 32-bit tag first and the arena words only
+/// on a tag match; neither hits nor misses allocate per term.
 ///
 /// Same concurrency contract as rdf::TermDictionary: `get` /
 /// `FunctionName` are lock-free over slots that never move, `Intern`
@@ -125,15 +125,11 @@ class SkolemStore {
 
   struct Stripe {
     std::mutex mu;
-    std::vector<uint64_t> slots;  // tag << 32 | id + 1; 0 = empty
-    size_t used = 0;
+    SlotTable index;
   };
 
   /// Appends `[header, args...]` to the arena. Under alloc_mu_.
   Value* AppendTerm(uint64_t header, const Value* args, size_t n);
-  /// Doubles a stripe's table, re-placing slots by their tags. Under the
-  /// stripe's mutex.
-  void Grow(Stripe& stripe);
 
   const uint32_t max_terms_;
   BucketArray<std::string, 6> fn_names_;

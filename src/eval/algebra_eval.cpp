@@ -484,14 +484,6 @@ Status AlgebraEvaluator::Sort(const Query& q, Multiset* sols) {
   return Status::OK();
 }
 
-Result<Multiset> AlgebraEvaluator::EvalPatternStandalone(
-    const Pattern& pattern) {
-  active_dataset_ = &base_dataset_;
-  RegisterPatternVars(pattern);
-  Solution empty(vars_.size(), TermDictionary::kUndef);
-  return EvalPattern(pattern, active_dataset_->default_graph(), empty);
-}
-
 Result<QueryResult> AlgebraEvaluator::EvalQuery(const Query& q) {
   if (quirks_.error_on_graph_and_complex_order) {
     sparql::FeatureSet features = sparql::AnalyzeFeatures(q);

@@ -37,10 +37,6 @@ class AlgebraEvaluator {
   /// solution modifiers, projection, query form.
   Result<QueryResult> EvalQuery(const sparql::Query& query);
 
-  /// Evaluates a graph pattern against the query's default graph with an
-  /// empty input mapping (exposed for tests).
-  Result<Multiset> EvalPatternStandalone(const sparql::Pattern& pattern);
-
  private:
   Result<Multiset> EvalPattern(const sparql::Pattern& p,
                                const rdf::Graph& active,

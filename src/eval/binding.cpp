@@ -30,15 +30,6 @@ bool Compatible(const Solution& a, const Solution& b) {
   return true;
 }
 
-Solution MergeSolutions(const Solution& a, const Solution& b) {
-  Solution out(std::max(a.size(), b.size()), rdf::TermDictionary::kUndef);
-  for (size_t i = 0; i < a.size(); ++i) out[i] = a[i];
-  for (size_t i = 0; i < b.size(); ++i) {
-    if (b[i] != rdf::TermDictionary::kUndef) out[i] = b[i];
-  }
-  return out;
-}
-
 bool DisjointDomains(const Solution& a, const Solution& b) {
   size_t n = std::min(a.size(), b.size());
   for (size_t i = 0; i < n; ++i) {

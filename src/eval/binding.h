@@ -20,7 +20,6 @@ class VarTable {
   uint32_t SlotOf(const std::string& name);
   /// Slot if known; UINT32_MAX otherwise.
   uint32_t Find(const std::string& name) const;
-  const std::string& NameOf(uint32_t slot) const { return names_[slot]; }
   size_t size() const { return names_.size(); }
 
  private:
@@ -36,9 +35,6 @@ using Multiset = std::vector<Solution>;
 
 /// True if the mappings agree on every variable bound in both.
 bool Compatible(const Solution& a, const Solution& b);
-
-/// Merge of two compatible mappings (non-undef wins).
-Solution MergeSolutions(const Solution& a, const Solution& b);
 
 /// True if dom(a) ∩ dom(b) is empty (used by MINUS).
 bool DisjointDomains(const Solution& a, const Solution& b);

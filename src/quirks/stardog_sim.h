@@ -33,11 +33,6 @@ class StardogSim {
   Result<eval::QueryResult> Execute(const sparql::Query& query,
                                     ExecContext* ctx);
 
-  /// Triples after materialization (for tests).
-  size_t MaterializedTriples() const {
-    return materialized_ ? materialized_->TotalTriples() : 0;
-  }
-
  private:
   const rdf::Dataset* dataset_;
   rdf::TermDictionary* dict_;

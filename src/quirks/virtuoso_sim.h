@@ -1,10 +1,6 @@
 #pragma once
 
-#include "eval/algebra_eval.h"
 #include "eval/quirk_config.h"
-#include "rdf/graph.h"
-#include "sparql/ast.h"
-#include "util/exec_context.h"
 
 /// \file virtuoso_sim.h
 /// The "Virtuoso" baseline: the reference evaluator with the deviations
@@ -23,23 +19,5 @@ namespace sparqlog::quirks {
 
 /// The configured deviation set.
 eval::EngineQuirks VirtuosoQuirks();
-
-/// Convenience wrapper: evaluates `query` over `dataset` with the
-/// Virtuoso deviations active.
-class VirtuosoSim {
- public:
-  VirtuosoSim(const rdf::Dataset* dataset, rdf::TermDictionary* dict)
-      : dataset_(dataset), dict_(dict) {}
-
-  Result<eval::QueryResult> Execute(const sparql::Query& query,
-                                    ExecContext* ctx) {
-    eval::AlgebraEvaluator evaluator(*dataset_, dict_, ctx, VirtuosoQuirks());
-    return evaluator.EvalQuery(query);
-  }
-
- private:
-  const rdf::Dataset* dataset_;
-  rdf::TermDictionary* dict_;
-};
 
 }  // namespace sparqlog::quirks

@@ -7,10 +7,10 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 
 #include "rdf/term.h"
 #include "util/bucket_array.h"
+#include "util/slot_table.h"
 
 /// \file dictionary.h
 /// Interning dictionary mapping RDF terms to dense 32-bit ids. All engines
@@ -32,8 +32,8 @@ namespace sparqlog::rdf {
 ///   stripe mutex below, a frozen relation published before the parallel
 ///   region, or the round barrier), which orders the slot write.
 /// - `Intern*` / `Lookup` take one of `kStripes` mutexes selected by the
-///   term's canonical-key hash, so unrelated terms intern concurrently;
-///   id allocation serializes briefly on a global allocation mutex.
+///   term's hash, so unrelated terms intern concurrently; id allocation
+///   serializes briefly on a global allocation mutex.
 /// - Ids are first-come-first-served: with multiple interning threads the
 ///   id *numbering* can vary run to run, but a given term content always
 ///   maps to exactly one id within a run, and nothing user-visible orders
@@ -51,18 +51,23 @@ class TermDictionary {
   TermDictionary& operator=(const TermDictionary&) = delete;
 
   /// Interns a term, returning its id (existing id if already present).
-  TermId Intern(const Term& term);
+  /// A term is found by its parts (kind, lexical form, datatype, language
+  /// tag), normalized as Term::Literal does, so `"abc"^^xsd:string` and
+  /// `"abc"`, or `"x"@EN` and `"x"@en`, are one term. Only a miss builds
+  /// and stores a Term.
+  TermId Intern(const Term& term) {
+    return Intern(term.kind, term.lexical, term.datatype, term.lang);
+  }
 
   TermId InternIri(std::string_view iri) {
-    return Intern(Term::Iri(std::string(iri)));
+    return Intern(TermKind::kIri, iri, {}, {});
   }
   TermId InternBlank(std::string_view label) {
-    return Intern(Term::Blank(std::string(label)));
+    return Intern(TermKind::kBlank, label, {}, {});
   }
   TermId InternLiteral(std::string_view lex, std::string_view datatype = "",
                        std::string_view lang = "") {
-    return Intern(Term::Literal(std::string(lex), std::string(datatype),
-                                std::string(lang)));
+    return Intern(TermKind::kLiteral, lex, datatype, lang);
   }
   TermId InternString(std::string_view s) { return InternLiteral(s); }
   TermId InternInteger(int64_t v);
@@ -94,12 +99,14 @@ class TermDictionary {
 
   struct Stripe {
     std::mutex mu;
-    std::unordered_map<std::string, TermId> index;
+    SlotTable index;  // over the Terms in terms_
   };
 
-  Stripe& StripeFor(const std::string& key) const {
-    return stripes_[std::hash<std::string>()(key) % kStripes];
-  }
+  /// A term's normalized parts, viewing the caller's strings.
+  struct Key;
+
+  TermId Intern(TermKind kind, std::string_view lex, std::string_view datatype,
+                std::string_view lang);
 
   BucketArray<Term> terms_;
   std::atomic<uint32_t> num_terms_{0};

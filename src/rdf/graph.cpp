@@ -1,24 +1,48 @@
 #include "rdf/graph.h"
 
-#include <algorithm>
-
 namespace sparqlog::rdf {
 
-namespace {
-const std::vector<Triple>& EmptyTriples() {
-  static const std::vector<Triple>& empty = *new std::vector<Triple>();
-  return empty;
+void Graph::Lazy::Drop() {
+  if (built.load(std::memory_order_relaxed) == 0) return;
+  built.store(0, std::memory_order_relaxed);
+  by = {};
+  nodes = {};
 }
-}  // namespace
 
 bool Graph::Add(Triple t) {
   if (!set_.insert(t).second) return false;
   ++version_;
   triples_.push_back(t);
-  by_s_[t.s].push_back(t);
-  by_p_[t.p].push_back(t);
-  by_o_[t.o].push_back(t);
+  lazy_.Drop();
   return true;
+}
+
+template <typename Build>
+void Graph::Ensure(Part part, const Build& build) const {
+  const uint32_t bit = 1u << part;
+  if (lazy_.built.load(std::memory_order_acquire) & bit) return;
+  std::lock_guard<std::mutex> lock(lazy_.mu);
+  if (lazy_.built.load(std::memory_order_relaxed) & bit) return;
+  build();
+  lazy_.built.fetch_or(bit, std::memory_order_release);
+}
+
+const Graph::View& Graph::ViewOf(Part part) const {
+  Ensure(part, [&] {
+    static constexpr TermId Triple::*kMember[] = {&Triple::s, &Triple::p,
+                                                 &Triple::o};
+    for (const Triple& t : triples_) {
+      lazy_.by[part][t.*kMember[part]].push_back(t);
+    }
+  });
+  return lazy_.by[part];
+}
+
+const std::vector<Triple>& Graph::Lookup(Part part, TermId key) const {
+  static const std::vector<Triple>& none = *new std::vector<Triple>();
+  const View& view = ViewOf(part);
+  auto it = view.find(key);
+  return it == view.end() ? none : it->second;
 }
 
 void Graph::Match(std::optional<TermId> s, std::optional<TermId> p,
@@ -30,22 +54,15 @@ void Graph::Match(std::optional<TermId> s, std::optional<TermId> p,
     if (Contains(t)) fn(t);
     return;
   }
-  // Choose the smallest bound index, falling back to a scan.
+  // Choose the smallest bound view, falling back to a scan.
   const std::vector<Triple>* source = &triples_;
-  if (s) {
-    auto it = by_s_.find(*s);
-    source = it == by_s_.end() ? &EmptyTriples() : &it->second;
-  }
+  if (s) source = &Lookup(kSubject, *s);
   if (p) {
-    auto it = by_p_.find(*p);
-    const std::vector<Triple>* cand =
-        it == by_p_.end() ? &EmptyTriples() : &it->second;
+    const std::vector<Triple>* cand = &Lookup(kPredicate, *p);
     if (cand->size() < source->size()) source = cand;
   }
   if (o) {
-    auto it = by_o_.find(*o);
-    const std::vector<Triple>* cand =
-        it == by_o_.end() ? &EmptyTriples() : &it->second;
+    const std::vector<Triple>* cand = &Lookup(kObject, *o);
     if (cand->size() < source->size()) source = cand;
   }
   for (const Triple& t : *source) {
@@ -56,35 +73,25 @@ void Graph::Match(std::optional<TermId> s, std::optional<TermId> p,
   }
 }
 
-const std::vector<Triple>& Graph::WithPredicate(TermId p) const {
-  auto it = by_p_.find(p);
-  return it == by_p_.end() ? EmptyTriples() : it->second;
-}
-
-const std::vector<Triple>& Graph::WithSubject(TermId s) const {
-  auto it = by_s_.find(s);
-  return it == by_s_.end() ? EmptyTriples() : it->second;
-}
-
-const std::vector<Triple>& Graph::WithObject(TermId o) const {
-  auto it = by_o_.find(o);
-  return it == by_o_.end() ? EmptyTriples() : it->second;
-}
-
 const std::vector<TermId>& Graph::SubjectsAndObjects() const {
-  // Incremental rebuild: extend with triples added since last call.
-  for (; nodes_built_upto_ < triples_.size(); ++nodes_built_upto_) {
-    const Triple& t = triples_[nodes_built_upto_];
-    if (node_set_.insert(t.s).second) nodes_.push_back(t.s);
-    if (node_set_.insert(t.o).second) nodes_.push_back(t.o);
-  }
-  return nodes_;
+  Ensure(kNodes, [&] {
+    std::vector<bool> seen;
+    for (const Triple& t : triples_) {
+      for (TermId n : {t.s, t.o}) {
+        if (n >= seen.size()) seen.resize(n + 1);
+        if (!seen[n]) lazy_.nodes.push_back(n);
+        seen[n] = true;
+      }
+    }
+  });
+  return lazy_.nodes;
 }
 
 std::vector<TermId> Graph::Predicates() const {
+  const View& by_p = ViewOf(kPredicate);
   std::vector<TermId> out;
-  out.reserve(by_p_.size());
-  for (const auto& [p, _] : by_p_) out.push_back(p);
+  out.reserve(by_p.size());
+  for (const auto& [p, _] : by_p) out.push_back(p);
   return out;
 }
 
@@ -103,48 +110,16 @@ std::pair<size_t, size_t> Graph::ApplyDelta(
     ++version_;
   }
   if (removed > 0) {
-    // A removed triple's subject must be a removed subject, so the main
-    // scan tests the TermId before paying a TripleHash — for a small
-    // delete over a large graph nearly every resident triple takes the
-    // cheap branch.
+    // A removed triple's subject must be a removed subject, so the scan
+    // tests the TermId before paying a TripleHash — for a small delete
+    // over a large graph nearly every resident triple takes the cheap
+    // branch.
     std::unordered_set<TermId> gone_s;
-    std::unordered_set<TermId> gone_p;
-    std::unordered_set<TermId> gone_o;
-    for (const Triple& t : gone) {
-      gone_s.insert(t.s);
-      gone_p.insert(t.p);
-      gone_o.insert(t.o);
-    }
-    auto filter = [&](std::vector<Triple>& v) {
-      v.erase(std::remove_if(v.begin(), v.end(),
-                             [&](const Triple& t) {
-                               return gone_s.count(t.s) > 0 &&
-                                      gone.count(t) > 0;
-                             }),
-              v.end());
-    };
-    filter(triples_);
-    // Only buckets that a deleted triple touches can change, and one
-    // pass per distinct key suffices (per-triple scrubbing re-filters a
-    // shared bucket once per deleted triple — quadratic when a delete
-    // batch shares a predicate).
-    auto scrub = [&](std::unordered_map<TermId, std::vector<Triple>>& idx,
-                     const std::unordered_set<TermId>& keys) {
-      for (TermId key : keys) {
-        auto it = idx.find(key);
-        if (it == idx.end()) continue;
-        filter(it->second);
-        if (it->second.empty()) idx.erase(it);
-      }
-    };
-    scrub(by_s_, gone_s);
-    scrub(by_p_, gone_p);
-    scrub(by_o_, gone_o);
-    // The lazily built node list may contain terms whose last triple was
-    // just removed; rebuild from scratch on next use.
-    nodes_.clear();
-    node_set_.clear();
-    nodes_built_upto_ = 0;
+    for (const Triple& t : gone) gone_s.insert(t.s);
+    std::erase_if(triples_, [&](const Triple& t) {
+      return gone_s.count(t.s) > 0 && gone.count(t) > 0;
+    });
+    lazy_.Drop();
   }
   size_t added = 0;
   for (const Triple& t : inserts) {

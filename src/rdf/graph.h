@@ -1,8 +1,11 @@
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -16,7 +19,7 @@
 
 /// \file graph.h
 /// RDF graphs (sets of triples) and datasets (default graph + named
-/// graphs), with the secondary indexes the reference evaluator needs for
+/// graphs), with the by-position views the reference evaluator needs for
 /// triple-pattern matching and path search.
 
 namespace sparqlog::rdf {
@@ -42,10 +45,12 @@ struct TripleHash {
   }
 };
 
-/// A set of triples with by-S / by-P / by-O indexes.
+/// A set of triples, stored once in insertion order plus a hash set.
 ///
-/// RDF graphs are sets, so Add() deduplicates. Indexes are maintained
-/// eagerly; graphs in this codebase are load-then-query.
+/// RDF graphs are sets, so Add() deduplicates. The by-S / by-P / by-O
+/// views that Match, With* and Predicates read, and the node list, are
+/// each built on first use, safely for concurrent const readers; any
+/// mutation drops them. A copy of a graph starts without them.
 class Graph {
  public:
   /// Adds a triple; returns false if it was already present.
@@ -64,19 +69,20 @@ class Graph {
   bool Contains(const Triple& t) const { return set_.count(t) > 0; }
 
   /// Calls `fn` for every triple matching the pattern; nullopt = wildcard.
-  /// Chooses the most selective index available.
+  /// Chooses the smallest view of a bound position.
   void Match(std::optional<TermId> s, std::optional<TermId> p,
              std::optional<TermId> o,
              const std::function<void(const Triple&)>& fn) const;
 
   /// All (s, o) pairs for predicate `p` (shared by path evaluation).
-  const std::vector<Triple>& WithPredicate(TermId p) const;
+  const std::vector<Triple>& WithPredicate(TermId p) const {
+    return Lookup(kPredicate, p);
+  }
 
   /// Triples whose subject is `s`.
-  const std::vector<Triple>& WithSubject(TermId s) const;
-
-  /// Triples whose object is `o`.
-  const std::vector<Triple>& WithObject(TermId o) const;
+  const std::vector<Triple>& WithSubject(TermId s) const {
+    return Lookup(kSubject, s);
+  }
 
   /// All terms appearing in subject or object position, deduplicated and
   /// in first-seen order (the paper's subjectOrObject predicate).
@@ -90,23 +96,45 @@ class Graph {
 
   /// Applies a batch mutation: removes `deletes` (ignoring absent
   /// triples), then adds `inserts` (ignoring duplicates), keeping the
-  /// set semantics and all indexes consistent. Returns
-  /// {added, removed} counts of triples that actually changed state.
-  /// The version counter advances once per effective change, so a
-  /// no-op batch leaves version() (and Dataset::Generation) untouched.
+  /// set semantics. Returns {added, removed} counts of triples that
+  /// actually changed state. The version counter advances once per
+  /// effective change, so a no-op batch leaves version() (and
+  /// Dataset::Generation) untouched.
   std::pair<size_t, size_t> ApplyDelta(const std::vector<Triple>& inserts,
                                        const std::vector<Triple>& deletes);
 
  private:
+  /// Term -> the triples holding it at one position, in insertion order.
+  using View = std::unordered_map<TermId, std::vector<Triple>>;
+  enum Part { kSubject, kPredicate, kObject, kNodes };
+
+  /// What is built on first use. Writers (every Graph mutation) have
+  /// the graph to themselves, so only building takes the mutex.
+  struct Lazy {
+    Lazy() = default;
+    Lazy(const Lazy&) noexcept {}
+    Lazy& operator=(const Lazy&) {
+      Drop();
+      return *this;
+    }
+    void Drop();
+
+    std::mutex mu;
+    std::atomic<uint32_t> built{0};  // bit per Part
+    std::array<View, 3> by;          // by kSubject, kPredicate, kObject
+    std::vector<TermId> nodes;
+  };
+
+  /// Runs `build` under the mutex unless `part` is built already.
+  template <typename Build>
+  void Ensure(Part part, const Build& build) const;
+  const View& ViewOf(Part part) const;
+  const std::vector<Triple>& Lookup(Part part, TermId key) const;
+
   uint64_t version_ = 0;
   std::vector<Triple> triples_;
   std::unordered_set<Triple, TripleHash> set_;
-  std::unordered_map<TermId, std::vector<Triple>> by_s_;
-  std::unordered_map<TermId, std::vector<Triple>> by_p_;
-  std::unordered_map<TermId, std::vector<Triple>> by_o_;
-  mutable std::vector<TermId> nodes_;           // lazily built
-  mutable std::unordered_set<TermId> node_set_;
-  mutable size_t nodes_built_upto_ = 0;
+  mutable Lazy lazy_;
 };
 
 /// An RDF dataset: a default graph plus zero or more named graphs.

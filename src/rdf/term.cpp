@@ -55,31 +55,6 @@ Term Term::Literal(std::string lex, std::string datatype, std::string lang) {
   return t;
 }
 
-std::string Term::CanonicalKey() const {
-  std::string key;
-  switch (kind) {
-    case TermKind::kUndef:
-      return "U";
-    case TermKind::kIri:
-      key = "I";
-      key += lexical;
-      return key;
-    case TermKind::kBlank:
-      key = "B";
-      key += lexical;
-      return key;
-    case TermKind::kLiteral:
-      key = "L";
-      key += lexical;
-      key += '\x01';
-      key += datatype;
-      key += '\x01';
-      key += lang;
-      return key;
-  }
-  return key;
-}
-
 std::string Term::ToString() const {
   switch (kind) {
     case TermKind::kUndef:

@@ -96,9 +96,6 @@ struct Term {
                : double_value;
   }
 
-  /// Canonical unique key used by the dictionary's reverse map.
-  std::string CanonicalKey() const;
-
   /// N-Triples-style rendering: <iri>, "lex"^^<dt>, "lex"@lang, _:b, UNDEF.
   std::string ToString() const;
 };

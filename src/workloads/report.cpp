@@ -126,12 +126,4 @@ int64_t FlagValue(int argc, char** argv, const std::string& name,
   return default_value;
 }
 
-bool HasFlag(int argc, char** argv, const std::string& name) {
-  std::string flag = "--" + name;
-  for (int i = 1; i < argc; ++i) {
-    if (flag == argv[i]) return true;
-  }
-  return false;
-}
-
 }  // namespace sparqlog::workloads

@@ -53,6 +53,5 @@ void PrintSummary(const std::vector<SystemSummary>& summaries,
 /// Tiny argv helper for the bench binaries: --name=value.
 int64_t FlagValue(int argc, char** argv, const std::string& name,
                   int64_t default_value);
-bool HasFlag(int argc, char** argv, const std::string& name);
 
 }  // namespace sparqlog::workloads

@@ -24,7 +24,9 @@ using eval::QueryResult;
 /// to 3 predicates, with literals/self-loops/cycles mixed in.
 void RandomGraph(uint64_t seed, size_t nodes, size_t edges,
                  rdf::Dataset* dataset) {
-  Rng rng(seed);
+  // Rng(s + 1)'s stream is Rng(s)'s shifted by one draw, so consecutive
+  // seeds would mostly replay each other's graphs; mix the seed first.
+  Rng rng(Fmix64(seed));
   auto* dict = dataset->dict();
   auto node = [&](size_t i) {
     return dict->InternIri("http://r.org/n" + std::to_string(i));

@@ -5,13 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
+#include <set>
+#include <thread>
+#include <tuple>
+#include <vector>
 
 #include "rdf/dictionary.h"
 #include "rdf/graph.h"
 #include "rdf/term.h"
 #include "rdf/turtle_parser.h"
 #include "rdf/writer.h"
+#include "util/hash.h"
 
 namespace sparqlog::rdf {
 namespace {
@@ -20,7 +26,8 @@ TEST(TermTest, XsdStringNormalizesToSimpleLiteral) {
   Term a = Term::Literal("abc");
   Term b = Term::Literal("abc", std::string(xsd::kString));
   EXPECT_EQ(a, b);
-  EXPECT_EQ(a.CanonicalKey(), b.CanonicalKey());
+  TermDictionary dict;
+  EXPECT_EQ(dict.Intern(a), dict.Intern(b));
 }
 
 TEST(TermTest, LanguageTagLowercasedAndExclusive) {
@@ -75,6 +82,49 @@ TEST(DictionaryTest, DistinctKindsDistinctIds) {
   EXPECT_NE(iri, lit);
   EXPECT_NE(lit, bn);
   EXPECT_NE(iri, bn);
+}
+
+// Interning by Term and by string_view agree on each RDF 1.1 spelling
+// that names one term, and the stored term is the normalized spelling.
+TEST(DictionaryTest, NormalizedSpellingsShareOneIdByTermAndByView) {
+  TermDictionary dict;
+  const std::string xsd_string(xsd::kString);
+  const std::string xsd_integer(xsd::kInteger);
+
+  const TermId abc = dict.InternLiteral("abc");
+  EXPECT_EQ(dict.InternLiteral("abc", xsd::kString), abc);
+  EXPECT_EQ(dict.InternString("abc"), abc);
+  EXPECT_EQ(dict.Intern(Term::Literal("abc", xsd_string)), abc);
+  Term unnormalized;  // not built through Term::Literal
+  unnormalized.kind = TermKind::kLiteral;
+  unnormalized.lexical = "abc";
+  unnormalized.datatype = xsd_string;
+  EXPECT_EQ(dict.Intern(unnormalized), abc);
+  EXPECT_EQ(dict.Lookup(unnormalized), abc);
+  EXPECT_TRUE(dict.get(abc).datatype.empty());
+
+  const TermId en = dict.InternLiteral("x", "", "EN");
+  EXPECT_EQ(dict.InternLiteral("x", "", "en"), en);
+  EXPECT_EQ(dict.Intern(Term::Literal("x", "", "eN")), en);
+  EXPECT_EQ(dict.Lookup(Term::Literal("x", "", "En")), en);
+  EXPECT_EQ(dict.get(en).lang, "en");
+
+  // A tag implies rdf:langString, whatever datatype comes with it.
+  EXPECT_EQ(dict.InternLiteral("x", xsd::kInteger, "en"), en);
+  EXPECT_EQ(dict.InternLiteral("x", xsd::kLangString, "EN"), en);
+  EXPECT_EQ(dict.Intern(Term::Literal("x", xsd_integer, "En")), en);
+  EXPECT_TRUE(dict.get(en).datatype.empty());
+
+  // Different terms stay apart.
+  const TermId plain = dict.InternLiteral("x");
+  const TermId typed = dict.InternLiteral("x", xsd::kInteger);
+  EXPECT_NE(plain, en);
+  EXPECT_NE(typed, en);
+  EXPECT_NE(typed, plain);
+  EXPECT_NE(dict.InternLiteral("x", "", "en-gb"), en);
+  EXPECT_EQ(dict.Intern(Term::Literal("x", xsd_integer)), typed);
+  EXPECT_FALSE(dict.get(typed).is_numeric());  // "x" is no integer
+  EXPECT_EQ(dict.Intern(Term()), TermDictionary::kUndef);
 }
 
 TEST(DictionaryTest, LookupWithoutInterning) {
@@ -146,6 +196,210 @@ TEST_F(GraphTest, SubjectsAndObjectsIsDeduplicatedAndIncremental) {
 TEST_F(GraphTest, Predicates) {
   auto preds = graph_.Predicates();
   EXPECT_EQ(preds.size(), 2u);
+}
+
+using TripleKey = std::tuple<TermId, TermId, TermId>;
+
+TripleKey KeyOf(const Triple& t) { return {t.s, t.p, t.o}; }
+
+/// Every read of `g` against a brute-force scan of `g.triples()`: Match
+/// on all 8 bound/unbound patterns over every id of the universe (plus
+/// one id no triple holds), WithSubject, WithPredicate, Predicates and
+/// SubjectsAndObjects. Views keep insertion order, so sequences compare
+/// exactly.
+void ExpectReadsMatchScan(const Graph& g, TermId max_node, TermId max_pred,
+                          const std::string& where) {
+  const std::vector<Triple>& all = g.triples();
+  auto scan = [&](std::optional<TermId> s, std::optional<TermId> p,
+                  std::optional<TermId> o) {
+    std::vector<TripleKey> out;
+    for (const Triple& t : all) {
+      if ((!s || t.s == *s) && (!p || t.p == *p) && (!o || t.o == *o)) {
+        out.push_back(KeyOf(t));
+      }
+    }
+    return out;
+  };
+  auto values = [](bool bound, TermId max) {
+    std::vector<std::optional<TermId>> out;
+    if (!bound) return std::vector<std::optional<TermId>>{std::nullopt};
+    for (TermId v = 1; v <= max + 1; ++v) out.push_back(v);
+    return out;
+  };
+  for (int mask = 0; mask < 8; ++mask) {
+    for (auto s : values(mask & 1, max_node)) {
+      for (auto p : values(mask & 2, max_pred)) {
+        for (auto o : values(mask & 4, max_node)) {
+          std::vector<TripleKey> got;
+          g.Match(s, p, o, [&](const Triple& t) { got.push_back(KeyOf(t)); });
+          ASSERT_EQ(got, scan(s, p, o)) << where << " pattern " << mask;
+        }
+      }
+    }
+  }
+  for (TermId v = 1; v <= max_node + 1; ++v) {
+    std::vector<TripleKey> got;
+    for (const Triple& t : g.WithSubject(v)) got.push_back(KeyOf(t));
+    ASSERT_EQ(got, scan(v, std::nullopt, std::nullopt)) << where;
+  }
+  std::set<TermId> preds;
+  for (TermId v = 1; v <= max_pred + 1; ++v) {
+    std::vector<TripleKey> got;
+    for (const Triple& t : g.WithPredicate(v)) got.push_back(KeyOf(t));
+    ASSERT_EQ(got, scan(std::nullopt, v, std::nullopt)) << where;
+    if (!got.empty()) preds.insert(v);
+  }
+  std::vector<TermId> got_preds = g.Predicates();
+  std::sort(got_preds.begin(), got_preds.end());
+  ASSERT_EQ(got_preds, std::vector<TermId>(preds.begin(), preds.end()))
+      << where;
+  std::vector<TermId> nodes;
+  std::set<TermId> seen;
+  for (const Triple& t : all) {
+    for (TermId n : {t.s, t.o}) {
+      if (seen.insert(n).second) nodes.push_back(n);
+    }
+  }
+  ASSERT_EQ(g.SubjectsAndObjects(), nodes) << where;
+}
+
+// Random Add / ApplyDelta (deletes, re-inserts, no-ops) / MergeFrom
+// sequences: after each step the content equals a model set and every
+// view-backed read equals a scan of triples().
+TEST(GraphViewsTest, ReadsMatchAScanThroughMutations) {
+  constexpr TermId kNodes = 6;
+  constexpr TermId kPreds = 3;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(Fmix64(seed));
+    auto random_triple = [&] {
+      return Triple{static_cast<TermId>(1 + rng.Uniform(kNodes)),
+                    static_cast<TermId>(1 + rng.Uniform(kPreds)),
+                    static_cast<TermId>(1 + rng.Uniform(kNodes))};
+    };
+    Graph g;
+    std::set<TripleKey> model;
+    for (int step = 0; step < 40; ++step) {
+      const std::string where =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      const uint64_t before = g.version();
+      size_t changes = 0;
+      switch (rng.Uniform(4)) {
+        case 0:
+        case 1: {
+          const Triple t = random_triple();
+          const bool fresh = model.insert(KeyOf(t)).second;
+          ASSERT_EQ(g.Add(t), fresh) << where;
+          changes = fresh ? 1 : 0;
+          break;
+        }
+        case 2: {
+          // Deletes mix present and absent triples; inserts mix fresh
+          // triples, present ones (no-ops) and just-deleted ones
+          // (re-inserts).
+          std::vector<Triple> deletes, inserts;
+          for (uint64_t n = rng.Uniform(5); n > 0; --n) {
+            deletes.push_back(random_triple());
+          }
+          if (!g.triples().empty() && rng.Chance(0.7)) {
+            deletes.push_back(g.triples()[rng.Uniform(g.triples().size())]);
+          }
+          for (uint64_t n = rng.Uniform(4); n > 0; --n) {
+            inserts.push_back(random_triple());
+          }
+          if (!deletes.empty() && rng.Chance(0.5)) {
+            inserts.push_back(deletes[rng.Uniform(deletes.size())]);
+          }
+          size_t removed = 0, added = 0;
+          for (const Triple& t : deletes) removed += model.erase(KeyOf(t));
+          for (const Triple& t : inserts) {
+            added += model.insert(KeyOf(t)).second ? 1 : 0;
+          }
+          const auto [got_added, got_removed] = g.ApplyDelta(inserts, deletes);
+          ASSERT_EQ(got_added, added) << where;
+          ASSERT_EQ(got_removed, removed) << where;
+          changes = added + removed;
+          break;
+        }
+        case 3: {
+          Graph other;
+          for (uint64_t n = rng.Uniform(4); n > 0; --n) {
+            const Triple t = random_triple();
+            other.Add(t);
+            changes += model.insert(KeyOf(t)).second ? 1 : 0;
+          }
+          g.MergeFrom(other);
+          break;
+        }
+      }
+      ASSERT_EQ(g.version(), before + changes) << where;
+      std::set<TripleKey> content;
+      for (const Triple& t : g.triples()) content.insert(KeyOf(t));
+      ASSERT_EQ(g.size(), model.size()) << where;
+      ASSERT_EQ(content, model) << where;
+      for (const TripleKey& k : model) {
+        ASSERT_TRUE(g.Contains({std::get<0>(k), std::get<1>(k),
+                                std::get<2>(k)}))
+            << where;
+      }
+      ExpectReadsMatchScan(g, kNodes, kPreds, where);
+      // A copy carries the triples but builds its own views.
+      if (step % 10 == 9) ExpectReadsMatchScan(Graph(g), kNodes, kPreds, where);
+    }
+  }
+}
+
+// Several threads make the first view-building calls on a fresh graph
+// (and on the same graph after a mutation dropped its views) at once;
+// each must see complete views.
+TEST(GraphViewsTest, ConcurrentFirstReadsSeeCompleteViews) {
+  constexpr int kThreads = 4;
+  constexpr TermId kNodes = 300;
+  constexpr TermId kPreds = 5;
+  Rng rng(Fmix64(7));
+  Graph g;
+  for (int i = 0; i < 3000; ++i) {
+    g.Add(static_cast<TermId>(1 + rng.Uniform(kNodes)),
+          static_cast<TermId>(1 + rng.Uniform(kPreds)),
+          static_cast<TermId>(1 + rng.Uniform(kNodes)));
+  }
+  for (int round = 0; round < 3; ++round) {
+    if (round == 1) g.Add(kNodes + 1, 1, kNodes + 2);     // drops the views
+    if (round == 2) g.ApplyDelta({}, {g.triples()[0]});  // and the nodes
+    std::vector<size_t> by_p(kPreds + 1, 0), by_s(kNodes + 3, 0);
+    std::set<TermId> nodes;
+    for (const Triple& t : g.triples()) {
+      ++by_p[t.p];
+      ++by_s[t.s];
+      nodes.insert(t.s);
+      nodes.insert(t.o);
+    }
+    std::atomic<int> ready{0};
+    std::vector<int> errors(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int w = 0; w < kThreads; ++w) {
+      threads.emplace_back([&, w] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) {
+        }
+        for (TermId p = 1; p <= kPreds; ++p) {
+          size_t n = 0;
+          g.Match(std::nullopt, p, std::nullopt, [&](const Triple&) { ++n; });
+          if (n != by_p[p] || g.WithPredicate(p).size() != by_p[p]) {
+            ++errors[w];
+          }
+        }
+        for (TermId s = 1; s < by_s.size(); ++s) {
+          if (g.WithSubject(s).size() != by_s[s]) ++errors[w];
+        }
+        if (g.SubjectsAndObjects().size() != nodes.size()) ++errors[w];
+        if (g.Predicates().size() != kPreds) ++errors[w];
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (int w = 0; w < kThreads; ++w) {
+      EXPECT_EQ(errors[w], 0) << "round " << round << " thread " << w;
+    }
+  }
 }
 
 TEST(DatasetTest, WithClausesMergesFromGraphs) {
